@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -125,13 +126,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         if not _ or not col:
             raise SystemExit(f"update: --set expects COL=VALUE, got {s!r}")
         set_values[col] = val
-    scrub: dict[str, list] = {}
-    for s in args.scrub or []:
-        col, _, rest = s.partition(":")
-        pattern, sep, repl = rest.rpartition("=")
-        if not _ or not sep or not col or not pattern:
-            raise SystemExit(f"update: --scrub expects COL:REGEX=REPL, got {s!r}")
-        scrub.setdefault(col, []).append((pattern, repl))
+    scrub = _parse_scrub(args.scrub)
     print(
         json.dumps(
             update_rows(
@@ -140,6 +135,20 @@ def cmd_update(args: argparse.Namespace) -> int:
         )
     )
     return 0
+
+
+def _parse_scrub(specs: list[str] | None) -> dict[str, list]:
+    """--scrub COL:REGEX=REPL -> {col: [(regex, repl), ...]}. REGEX ends
+    at the first '=' with no backslash before it, so REPL may contain
+    '='; a literal '=' in REGEX is written '\\=' (RE2 reads it as '=')."""
+    scrub: dict[str, list] = {}
+    for s in specs or []:
+        col, colon, rest = s.partition(":")
+        eq = re.search(r"(?<!\\)=", rest)
+        if not colon or not col or eq is None or eq.start() == 0:
+            raise SystemExit(f"update: --scrub expects COL:REGEX=REPL, got {s!r}")
+        scrub.setdefault(col, []).append((rest[: eq.start()], rest[eq.end():]))
+    return scrub
 
 
 def cmd_enrich(args: argparse.Namespace) -> int:
@@ -625,7 +634,9 @@ def main() -> int:
     )
     up.add_argument(
         "--scrub", action="append", metavar="COL:REGEX=REPL",
-        help="regex rewrite on COL for matching rows (repeatable; applied in order)",
+        help="regex rewrite on COL for matching rows (repeatable; applied in "
+        "order). REGEX ends at the first unescaped '=', so REPL may contain "
+        "'='; write a literal '=' in REGEX as '\\='",
     )
     up.set_defaults(fn=cmd_update)
 

@@ -342,7 +342,154 @@ def _chaos_die_once(chaos_dir: str, pid: str) -> None:
     os._exit(1)
 
 
-class PartitionEncoder:
+def _file_fields(blocks: pa.Table | None) -> dict:
+    """The manifest entry fields a partition's blocks file determines.
+    ``None`` is the empty partition that publishes no file."""
+    if blocks is None:
+        return {"rows": 0, "blocks": 0, "encoded_bytes": 0, "block_hashes": []}
+    return {
+        "rows": int(pc.sum(blocks["n_rows"]).as_py() or 0),
+        "blocks": blocks.num_rows,
+        "encoded_bytes": int(pc.sum(blocks["encoded_bytes"]).as_py() or 0),
+        "block_hashes": blocks["content_sha256"].to_pylist(),
+    }
+
+
+def _entry_drift(entry: dict, got: dict) -> list[str]:
+    """Each way a manifest entry disagrees with its file's `_file_fields`
+    (empty when they agree)."""
+    pid = entry["partition_id"]
+    errs = [
+        f"{pid}: {got[k]} {k.replace('_', ' ')} in file, {entry.get(k)} in manifest"
+        for k in ("blocks", "rows", "encoded_bytes")
+        if got[k] != entry.get(k)
+    ]
+    if sorted(got["block_hashes"]) != sorted(entry.get("block_hashes", [])):
+        errs.append(f"{pid}: per-block sha256 chain list disagrees")
+    return errs
+
+
+def _column_summaries(blocks: pa.Table, names=None) -> dict:
+    """Fold the blocks' per-column lineage JSON into the entry's
+    ``columns`` summaries (codec counts, bytes, encode ms), optionally
+    only for `names`."""
+    out: dict[str, dict] = {}
+    for s in blocks["lineage"].to_pylist():
+        for col, info in json.loads(s or "{}").items():
+            if names is not None and col not in names:
+                continue
+            cs = out.setdefault(
+                col, {"codecs": {}, "src_bytes": 0, "enc_bytes": 0, "ms": 0.0}
+            )
+            cs["codecs"][info["codec"]] = cs["codecs"].get(info["codec"], 0) + 1
+            cs["src_bytes"] += info["src_bytes"]
+            cs["enc_bytes"] += info["enc_bytes"]
+            cs["ms"] = round(cs["ms"] + info["ms"], 3)
+    return out
+
+
+def _commit_entry(manifest: Manifest, entry: dict, blocks: pa.Table | None,
+                  **fields) -> dict:
+    """Entry rebuild + commit: `entry` with its file-derived fields
+    re-read from `blocks` and `fields` laid over it."""
+    new_entry = {**entry, **_file_fields(blocks), **fields}
+    manifest.commit(new_entry)
+    return new_entry
+
+
+def _publish(manifest: Manifest, entry: dict, blocks: pa.Table | None,
+             chaos_dir: str | None = None, t0: float | None = None,
+             **fields) -> dict:
+    """The one publish path of ``blocks/<pid>.parquet``: stage-write ->
+    atomic os.replace -> chaos hook -> entry rebuild -> manifest commit.
+    An entry whose ``output`` is None (a partition the row filter
+    emptied) commits with no file, so resume still recognizes it as
+    done. `t0` stamps the entry's ``wall_s`` at the commit."""
+    if entry.get("output"):
+        out_file = Path(entry["output"])
+        tmp = _tmp_path(out_file)
+        # blocks are already compressed; don't pay zstd twice
+        pq.write_table(blocks, tmp, compression="none")
+        os.replace(tmp, out_file)  # atomic: readers see old or new, never half
+        if chaos_dir:
+            # crash window under test: file published, manifest commit
+            # absent — the retry must re-publish idempotently (encode),
+            # reconcile from the file (delete/update; never re-apply) or
+            # take the commit-finish path (enrich; never append twice)
+            _chaos_die_once(chaos_dir, entry["partition_id"])
+    if t0 is not None:
+        fields["wall_s"] = round(time.perf_counter() - t0, 3)
+    return _commit_entry(manifest, entry, blocks, **fields)
+
+
+def _encode_blocks(core: BlockEncoder, tables, block_rows: int,
+                   max_block_bytes: int, pid: str, pseq: int) -> pa.Table | None:
+    """Block and encode a partition's tables in order: block_seq and
+    row_start count from 0. None when there are no rows."""
+    out: list[pa.Table] = []
+    rows = 0
+    for t in tables:
+        for block in iter_blocks(t, block_rows, max_block_bytes):
+            out.append(core.encode_table(block, block_seq=len(out), partition_id=pid,
+                                         partition_seq=pseq, row_start=rows))
+            rows += block.num_rows
+    return pa.concat_tables(out) if out else None
+
+
+def _row_starts(n_rows) -> pa.Array:
+    """Exclusive cumsum of per-block row counts: each block's row_start."""
+    nr = n_rows.to_numpy(zero_copy_only=False).astype(np.int64)
+    rs = np.zeros(len(nr), dtype=np.int64)
+    np.cumsum(nr[:-1], out=rs[1:])
+    return pa.array(rs, pa.int64())
+
+
+def _job_entries(out_root: str) -> tuple[Manifest, dict, list[dict]]:
+    """Job-record gate of every stage that rewrites a committed dir: the
+    manifest, the recorded params and the committed non-empty entries."""
+    manifest = Manifest(out_root)
+    rec = manifest.job_record()
+    if rec is None:
+        raise ValueError(f"{out_root} has no job record; not an encode-job dir")
+    entries = [e for e in manifest.entries() if e.get("output") and e.get("rows")]
+    return manifest, rec.get("params", {}), entries
+
+
+def _map_partitions(actor: type, items: list[dict], concurrency, **ctor) -> list[dict]:
+    """Run a `_PartitionStage` actor pool over `items` (partition
+    descriptors or manifest entries), one partition per call. Items
+    ride as JSON strings: their nested per-column/lineage dicts vary in
+    shape across partitions (post-delete entries carry keys fresh ones
+    lack), which a columnar from_items block can't represent uniformly."""
+    if concurrency is None:
+        # the actor reads its own partition (no separate read stage to
+        # starve): use nearly all CPUs
+        concurrency = (1, max(2, cluster_cpus() - 2))
+    return (
+        ray.data.from_items([{"item": json.dumps(x)} for x in items])
+        .map_batches(
+            actor,
+            fn_constructor_kwargs=ctor,
+            batch_format="pyarrow",
+            batch_size=1,
+            concurrency=concurrency,
+            zero_copy_batch=True,
+        )
+        .take_all()  # control-plane rows: one per partition, tiny
+    )
+
+
+class _PartitionStage:
+    """Base of the actors `_map_partitions` drives: `_run` turns one
+    partition's item into its result row."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pylist(
+            [self._run(json.loads(r["item"])) for r in batch.to_pylist()]
+        )
+
+
+class PartitionEncoder(_PartitionStage):
     """Actor-pool stage: one partition descriptor in -> one committed
     partition out (blocks parquet + manifest entry)."""
 
@@ -400,22 +547,10 @@ class PartitionEncoder:
         self.cluster_by = list(cluster_by) if cluster_by else None
         self.cluster_mode = validate_cluster_mode(cluster_mode, self.cluster_by)
 
-    def _iter_blocks(self, table: pa.Table):
-        yield from iter_blocks(table, self.block_rows, self.max_block_bytes)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        results: list[dict] = []
-        for row in batch.to_pylist():
-            results.append(self._encode_partition(row))
-        return pa.Table.from_pylist(results)
-
-    def _encode_partition(self, part: dict) -> dict:
+    def _run(self, part: dict) -> dict:
         t0 = time.perf_counter()
         pid = part["partition_id"]
         pf = pq.ParquetFile(part["path"])
-        out_tables: list[pa.Table] = []
-        rows = 0
-        seq = 0
         # filter columns must be READ even when projected out of the
         # encode set (round-3 review: a filter on a pruned column
         # KeyError'd inside the actor); widen the read, filter, then
@@ -469,100 +604,23 @@ class PartitionEncoder:
             tables = [whole]
         else:
             tables = _rg_tables()
-        for rg_table in tables:
-            for block in self._iter_blocks(rg_table):
-                out_tables.append(
-                    self.core.encode_table(
-                        block,
-                        block_seq=seq,
-                        partition_id=pid,
-                        partition_seq=int(part.get("partition_seq", 0)),
-                        row_start=rows,
-                    )
-                )
-                rows += block.num_rows
-                seq += 1
-        if not out_tables:
-            # row filter left nothing in this partition: commit an empty
-            # entry so resume still recognizes it as done
-            entry = {
+        blocks = _encode_blocks(self.core, tables, self.block_rows, self.max_block_bytes,
+                                pid, int(part.get("partition_seq", 0)))
+        entry = _publish(
+            self.manifest,
+            {
                 "partition_id": pid,
-                "input": {
-                    "path": part["path"],
-                    "rg_start": part["rg_start"],
-                    "rg_end": part["rg_end"],
-                },
-                "rows": 0,
-                "blocks": 0,
-                "source_bytes": 0,
-                "encoded_bytes": 0,
-                "block_hashes": [],
-                "columns": {},
-                "wall_s": round(time.perf_counter() - t0, 3),
-                "output": None,
-            }
-            self.manifest.commit(entry)
-            return {
-                "partition_id": pid,
-                "rows": 0,
-                "blocks": 0,
-                "source_bytes": 0,
-                "encoded_bytes": 0,
-                "wall_s": entry["wall_s"],
-                "skipped": False,
-            }
-        blocks_table = pa.concat_tables(out_tables)
-        out_file = self.blocks_dir / f"{pid}.parquet"
-        tmp = _tmp_path(out_file)
-        # blocks are already compressed; don't pay zstd twice
-        pq.write_table(blocks_table, tmp, compression="none")
-        os.replace(tmp, out_file)
-        if self.chaos_dir:
-            # crash window under test: output durable, commit absent —
-            # resume/retry must re-encode and re-publish idempotently
-            _chaos_die_once(self.chaos_dir, pid)
-
-        lineages = [json.loads(s) for s in blocks_table["lineage"].to_pylist()]
-        col_summary: dict[str, dict] = {}
-        for lin in lineages:
-            for col, info in lin.items():
-                cs = col_summary.setdefault(
-                    col, {"codecs": {}, "src_bytes": 0, "enc_bytes": 0, "ms": 0.0}
-                )
-                cs["codecs"][info["codec"]] = cs["codecs"].get(info["codec"], 0) + 1
-                cs["src_bytes"] += info["src_bytes"]
-                cs["enc_bytes"] += info["enc_bytes"]
-                cs["ms"] = round(cs["ms"] + info["ms"], 3)
-        entry = {
-            "partition_id": pid,
-            "input": {
-                "path": part["path"],
-                "rg_start": part["rg_start"],
-                "rg_end": part["rg_end"],
+                "input": {k: part[k] for k in ("path", "rg_start", "rg_end")},
+                "source_bytes": int(pc.sum(blocks["source_bytes"]).as_py()) if blocks else 0,
+                "columns": _column_summaries(blocks) if blocks else {},
+                "output": str(self.blocks_dir / f"{pid}.parquet") if blocks else None,
             },
-            "rows": rows,
-            "blocks": seq,
-            "source_bytes": int(
-                sum(blocks_table["source_bytes"].to_pylist())
-            ),
-            "encoded_bytes": int(
-                sum(blocks_table["encoded_bytes"].to_pylist())
-            ),
-            "block_hashes": blocks_table["content_sha256"].to_pylist(),
-            "columns": col_summary,
-            "wall_s": round(time.perf_counter() - t0, 3),
-            "output": str(out_file),
-        }
-        self.manifest.commit(entry)
-        return {
-            "partition_id": pid,
-            "rows": rows,
-            "blocks": seq,
-            "source_bytes": entry["source_bytes"],
-            "encoded_bytes": entry["encoded_bytes"],
-            "wall_s": entry["wall_s"],
-            "skipped": False,
-        }
+            blocks,
+            self.chaos_dir,
+            t0=t0,
+        )
+        keys = ("partition_id", "rows", "blocks", "source_bytes", "encoded_bytes", "wall_s")
+        return {**{k: entry[k] for k in keys}, "skipped": False}
 
 
 class OrderedStreamEncoder:
@@ -845,10 +903,6 @@ def run_encode_job(
     time (never read), and the exact row filter runs on each row-group
     table before blocking."""
     validate_cluster_mode(cluster_mode, cluster_by)
-    if concurrency is None:
-        # unlike the streaming path, the partition actor reads its own
-        # input (no separate read stage to starve): use nearly all CPUs
-        concurrency = (1, max(2, cluster_cpus() - 2))
     if filter:
         # fail fast on the driver (same class as decode.validate_predicates):
         # an unknown op or missing column would otherwise die inside an
@@ -926,38 +980,33 @@ def run_encode_job(
         "encoded_bytes": 0,
     }
     if pending:
-        ds = ray.data.from_items(pending)
-        results = ds.map_batches(
+        results = _map_partitions(
             PartitionEncoder,
-            fn_constructor_kwargs={
-                "out_root": out_root,
-                "columns": columns,
-                "level": level,
-                "block_rows": block_rows,
-                "max_block_bytes": max_block_bytes,
-                "hash_column": hash_column,
-                "row_filter": filter,
-                "stats": stats,
-                "page_rows": page_rows,
-                "decode_weight": decode_weight,
-                "enc_cap": enc_cap,
-                "forced_codecs": forced_codecs,
-                "hll": hll,
-                "hll_b": hll_b,
-                "archive": archive,
-                "cluster_by": cluster_by,
-                "cluster_mode": cluster_mode,
-                "kll": kll,
-                "kll_k": kll_k,
-                "ngram": ngram,
-                "ngram_n": ngram_n,
-                "chaos_dir": chaos_dir,
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=concurrency,
-            zero_copy_batch=True,
-        ).take_all()  # control-plane rows: one per partition, tiny
+            pending,
+            concurrency,
+            out_root=out_root,
+            columns=columns,
+            level=level,
+            block_rows=block_rows,
+            max_block_bytes=max_block_bytes,
+            hash_column=hash_column,
+            row_filter=filter,
+            stats=stats,
+            page_rows=page_rows,
+            decode_weight=decode_weight,
+            enc_cap=enc_cap,
+            forced_codecs=forced_codecs,
+            hll=hll,
+            hll_b=hll_b,
+            archive=archive,
+            cluster_by=cluster_by,
+            cluster_mode=cluster_mode,
+            kll=kll,
+            kll_k=kll_k,
+            ngram=ngram,
+            ngram_n=ngram_n,
+            chaos_dir=chaos_dir,
+        )
         summary["partitions_encoded"] = len(results)
         summary["rows"] = sum(r["rows"] for r in results)
         summary["source_bytes"] = sum(r["source_bytes"] for r in results)
@@ -966,7 +1015,7 @@ def run_encode_job(
     return summary
 
 
-class PartitionCompactor:
+class PartitionCompactor(_PartitionStage):
     """Actor-pool stage for compact_job: one committed-partition manifest
     entry in -> the same partition rewritten at target_block_rows."""
 
@@ -979,62 +1028,32 @@ class PartitionCompactor:
     ):
         from .decode import BlockDecoder
 
-        self.out_root = Path(out_root)
-        self.blocks_dir = self.out_root / "blocks"
         self.manifest = Manifest(out_root)
         self.core = _encoder_from_params(params)
         self.dec = BlockDecoder()
         self.target = int(target_block_rows)
         self.max_block_bytes = int(max_block_bytes)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pylist(
-            [self._compact(e) for e in batch.to_pylist()]
-        )
-
-    def _compact(self, entry: dict) -> dict:
+    def _run(self, entry: dict) -> dict:
         pid = entry["partition_id"]
         old = pq.read_table(entry["output"]).sort_by("block_seq")
         pseq = int(old["partition_seq"][0].as_py()) if "partition_seq" in old.column_names else 0
         decoded = self.dec(old)  # one partition = one batch, row order = block_seq order
-        rows = 0
-        seq = 0
-        out_tables: list[pa.Table] = []
-        for block in iter_blocks(decoded, self.target, self.max_block_bytes):
-            out_tables.append(
-                self.core.encode_table(
-                    block,
-                    block_seq=seq,
-                    partition_id=pid,
-                    partition_seq=pseq,
-                    row_start=rows,
-                )
-            )
-            rows += block.num_rows
-            seq += 1
-        if rows != entry["rows"]:
+        if decoded.num_rows != entry["rows"]:
             raise RuntimeError(
-                f"compact_job: partition {pid} decoded {rows} rows but the "
+                f"compact_job: partition {pid} decoded {decoded.num_rows} rows but the "
                 f"manifest committed {entry['rows']} — refusing to swap "
                 "(block file and manifest disagree; run verify --check-zones)"
             )
-        blocks_table = pa.concat_tables(out_tables)
-        out_file = Path(entry["output"])
-        tmp = _tmp_path(out_file)
-        pq.write_table(blocks_table, tmp, compression="none")
-        os.replace(tmp, out_file)  # atomic swap: readers see old or new, never half
-        new_entry = dict(entry)
-        new_entry["rows"] = rows
-        new_entry["blocks"] = seq
-        new_entry["encoded_bytes"] = int(sum(blocks_table["encoded_bytes"].to_pylist()))
-        new_entry["block_hashes"] = blocks_table["content_sha256"].to_pylist()
-        new_entry["compacted_from_blocks"] = entry["blocks"]
-        new_entry["compacted_block_rows"] = self.target
-        self.manifest.commit(new_entry)
+        blocks = _encode_blocks(self.core, [decoded], self.target, self.max_block_bytes,
+                                pid, pseq)
+        new_entry = _publish(self.manifest, entry, blocks,
+                             compacted_from_blocks=entry["blocks"],
+                             compacted_block_rows=self.target)
         return {
             "partition_id": pid,
             "blocks_before": entry["blocks"],
-            "blocks_after": seq,
+            "blocks_after": new_entry["blocks"],
             "encoded_bytes_before": entry["encoded_bytes"],
             "encoded_bytes_after": new_entry["encoded_bytes"],
         }
@@ -1070,9 +1089,6 @@ def _backfill_row_start(batch: pa.Table, blocks_dir: str) -> pa.Table:
             out.append({"partition_id": pid, "backfilled": False})
             continue
         t = pq.read_table(f).sort_by([("block_seq", "ascending")])
-        n_rows = t["n_rows"].to_numpy(zero_copy_only=False).astype("int64")
-        rs = np.zeros(len(n_rows), dtype=np.int64)
-        np.cumsum(n_rows[:-1], out=rs[1:])
         if "row_start" in t.column_names:
             t = t.drop_columns(["row_start"])
         # canonical slot (after content_sha256, matching encode_table):
@@ -1083,7 +1099,7 @@ def _backfill_row_start(batch: pa.Table, blocks_dir: str) -> pa.Table:
         t = t.add_column(
             t.column_names.index("content_sha256") + 1,
             "row_start",
-            pa.array(rs, type=pa.int64()),
+            _row_starts(t["n_rows"]),
         )
         tmp = _tmp_path(f)
         pq.write_table(t, tmp, compression="none")
@@ -1137,34 +1153,12 @@ def fsck_job(out_root: str, deep: bool = False) -> dict:
                 if not f.is_file():
                     errs.append(f"{pid}: blocks file missing: {f}")
                 else:
-                    t = pq.read_table(
+                    got = _file_fields(pq.read_table(
                         str(f),
                         columns=["n_rows", "encoded_bytes", "content_sha256"],
-                    )
-                    rows = int(sum(t["n_rows"].to_pylist()))
-                    blocks = t.num_rows
-                    if t.num_rows != e.get("blocks"):
-                        errs.append(
-                            f"{pid}: {t.num_rows} blocks in file, "
-                            f"{e.get('blocks')} in manifest"
-                        )
-                    if rows != e.get("rows"):
-                        errs.append(
-                            f"{pid}: {rows} rows in file, "
-                            f"{e.get('rows')} in manifest"
-                        )
-                    if sorted(t["content_sha256"].to_pylist()) != sorted(
-                        e.get("block_hashes", [])
-                    ):
-                        errs.append(
-                            f"{pid}: per-block sha256 chain list disagrees"
-                        )
-                    enc = int(sum(t["encoded_bytes"].to_pylist()))
-                    if enc != e.get("encoded_bytes"):
-                        errs.append(
-                            f"{pid}: {enc} encoded bytes in file, "
-                            f"{e.get('encoded_bytes')} in manifest"
-                        )
+                    ))
+                    rows, blocks = got["rows"], got["blocks"]
+                    errs = _entry_drift(e, got)
                 out.append(
                     {"pid": pid, "rows": rows, "blocks": blocks,
                      "errors": json.dumps(errs)}
@@ -1285,32 +1279,19 @@ def compact_job(
     hash), so resume gates keep working."""
     import math
 
-    manifest = Manifest(out_root)
-    rec = manifest.job_record()
-    if rec is None:
-        raise ValueError(f"{out_root} has no job record; not an encode-job dir")
-    params = rec.get("params", {})
-    pending = []
-    skipped = 0
-    for e in manifest.entries():
-        if not e.get("output") or not e.get("rows"):
-            skipped += 1
-            continue
-        if e["blocks"] <= math.ceil(e["rows"] / int(target_block_rows)):
-            skipped += 1  # already at (or coarser than) the target geometry
-            continue
-        pending.append(e)
+    manifest, params, entries = _job_entries(out_root)
+    pending = [  # finer than the target geometry
+        e for e in entries if e["blocks"] > math.ceil(e["rows"] / int(target_block_rows))
+    ]
     summary = {
         "partitions_compacted": 0,
-        "partitions_skipped": skipped,
+        "partitions_skipped": len(manifest.entries()) - len(pending),
         "partitions_backfilled": 0,
         "blocks_before": 0,
         "blocks_after": 0,
         "encoded_bytes_before": 0,
         "encoded_bytes_after": 0,
     }
-    if concurrency is None:
-        concurrency = (1, max(2, cluster_cpus() - 2))
     # row_start backfill sweep over partitions NOT being re-encoded
     # (compaction itself re-derives row_start): legacy pre-row_start
     # dirs become random-access capable in place; healthy partitions
@@ -1318,9 +1299,8 @@ def compact_job(
     compacting = {e["partition_id"] for e in pending}
     candidates = [
         {"partition_id": e["partition_id"]}
-        for e in manifest.entries()
-        if e.get("output") and e.get("rows")
-        and e["partition_id"] not in compacting
+        for e in entries
+        if e["partition_id"] not in compacting
     ]
     if candidates:
         bf = (
@@ -1335,24 +1315,10 @@ def compact_job(
         summary["partitions_backfilled"] = sum(1 for r in bf if r["backfilled"])
     if not pending:
         return summary
-    results = (
-        ray.data.from_items(pending)
-        .map_batches(
-            PartitionCompactor,
-            fn_constructor_kwargs={
-                "out_root": out_root,
-                "params": params,
-                "target_block_rows": int(target_block_rows),
-                "max_block_bytes": int(
-                    params.get("max_block_bytes", DEFAULT_MAX_BLOCK_BYTES)
-                ),
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=concurrency,
-            zero_copy_batch=True,
-        )
-        .take_all()  # control-plane rows: one per partition, tiny
+    results = _map_partitions(
+        PartitionCompactor, pending, concurrency, out_root=out_root, params=params,
+        target_block_rows=int(target_block_rows),
+        max_block_bytes=int(params.get("max_block_bytes", DEFAULT_MAX_BLOCK_BYTES)),
     )
     summary["partitions_compacted"] = len(results)
     for r in results:
@@ -1392,85 +1358,65 @@ def _reconcile_entry(manifest: Manifest, entry: dict, kind: str) -> dict:
         entry["output"],
         columns=["n_rows", "encoded_bytes", "content_sha256", "block_seq"],
     ).sort_by("block_seq")
-    rows = int(sum(meta["n_rows"].to_pylist()))
-    enc = int(sum(meta["encoded_bytes"].to_pylist()))
-    hashes = meta["content_sha256"].to_pylist()
-    if (
-        rows == entry.get("rows")
-        and meta.num_rows == entry.get("blocks")
-        and enc == entry.get("encoded_bytes")
-        and sorted(hashes) == sorted(entry.get("block_hashes", []))
-    ):
+    got = _file_fields(meta)
+    if not _entry_drift(entry, got):
         return entry
-    new_entry = dict(entry)
-    new_entry["rows"] = rows
-    new_entry["blocks"] = meta.num_rows
-    new_entry["encoded_bytes"] = enc
-    new_entry["block_hashes"] = hashes
-    new_entry["generation"] = int(entry.get("generation", 0)) + 1
-    lineage = list(entry.get(kind, []))
-    lineage.append(
-        {
-            "crash_recovered": True,
-            "rows_before": entry.get("rows"),
-            "rows_after": rows,
-        }
+    recovery = {"crash_recovered": True, "rows_before": entry.get("rows"),
+                "rows_after": got["rows"]}
+    return _commit_entry(
+        manifest, entry, meta,
+        generation=int(entry.get("generation", 0)) + 1,
+        **{kind: [*entry.get(kind, []), recovery]},
     )
-    new_entry[kind] = lineage
-    manifest.commit(new_entry)
-    return new_entry
 
 
-class PartitionDeleter:
-    """Actor-pool stage for delete_rows: one committed-partition manifest
-    entry in -> the same partition rewritten WITHOUT the rows matching a
-    (col, op, value) conjunction. Three-level pruning before any byte is
-    rewritten: (1) the zonemap column alone is read first — a partition
-    whose blocks all prove empty returns untouched without fetching one
-    encoded blob; (2) only zone-candidate blocks decode; (3) a candidate
-    with zero exact matches keeps its original encoded row verbatim.
-    Emptied blocks are dropped; block_seq is renumbered contiguously and
-    row_start re-derived (block_id is a content digest, independent of
-    seq), so decode_ordered / take_rows keep working. The swap is the
-    same atomic tmp+rename as compaction: readers see the old or the new
-    partition, never half."""
+class _PartitionRewriter(_PartitionStage):
+    """Copy-on-write rewrite core of delete_rows/update_rows: one
+    committed-partition manifest entry in -> the same partition with
+    `_transform` applied to the rows matching a DNF filter. Three-level
+    pruning before any byte is rewritten: (1) the zonemap column alone
+    is read first — a partition whose blocks all prove empty returns
+    untouched without fetching one encoded blob; (2) only zone-candidate
+    blocks decode; (3) a candidate with zero exact matches keeps its
+    original encoded row verbatim. block_seq is renumbered contiguously
+    and row_start re-derived (block_id is a content digest, independent
+    of seq), so decode_ordered / take_rows keep working. The swap is
+    `_publish`: readers see the old or the new partition, never half.
+
+    A subclass names its manifest lineage key and audit log (`kind`),
+    its public op (`op`), the result counts the driver sums (`summed`),
+    and supplies `_transform` and `_counts`."""
+
+    kind = op = ""
+    summed: tuple[str, ...] = ()
 
     def __init__(self, out_root: str, params: dict, filter: list,
                  chaos_dir: str | None = None):
         from .decode import BlockDecoder
 
-        self.out_root = Path(out_root)
         self.manifest = Manifest(out_root)
         self.chaos_dir = chaos_dir
         # filter arrives as a NORMALIZED DNF (list of conjunctions)
         self.dnf = [[tuple(p) for p in conj] for conj in filter]
+        self.spec: dict = {}  # op parameters recorded in each lineage record
         self.core = _encoder_from_params(params)
         self.dec = BlockDecoder()
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # entries ride as JSON strings: their nested per-column/lineage
-        # dicts vary in shape across partitions (post-delete entries carry
-        # keys fresh ones lack), which a columnar from_items block can't
-        # represent uniformly
-        return pa.Table.from_pylist(
-            [self._delete(json.loads(r["entry"])) for r in batch.to_pylist()]
-        )
-
-    def _delete(self, entry: dict) -> dict:
+    def _run(self, entry: dict) -> dict:
         from .decode import dnf_mask, zone_may_match_any
 
         pid = entry["partition_id"]
         # finish a crashed attempt's commit BEFORE the zone scan: the
         # rewritten file's zones may no longer admit the filter at all,
         # so the scan alone would return untouched and leave the
-        # manifest behind the blocks file forever. A delete's recovered
-        # row count IS derivable (rows_before - rows_after), so the
-        # retry's summary stays truthful across the crash.
-        rows_before = int(entry.get("rows", 0))
-        entry = _reconcile_entry(self.manifest, entry, "deletes")
-        recovered = max(0, rows_before - int(entry.get("rows", 0)))
-        untouched = {"partition_id": pid, "rewritten": recovered > 0,
-                     "rows_deleted": recovered, "blocks_dropped": 0}
+        # manifest behind the blocks file forever. A reconciled partition
+        # counts as rewritten; a delete's recovered row count IS
+        # derivable (rows_before - rows_after), an update's is not.
+        fixed = _reconcile_entry(self.manifest, entry, self.kind)
+        recovered = max(0, int(entry.get("rows", 0)) - int(fixed.get("rows", 0)))
+        untouched = {"partition_id": pid, "rewritten": fixed is not entry,
+                     **self._counts(recovered, 0, 0)}
+        entry = fixed
         # level 1: zonemaps only — no blob columns leave the file. Sorted
         # by block_seq so candidate positions align with the sorted full
         # read below even if a file's physical row order ever drifts from
@@ -1489,129 +1435,90 @@ class PartitionDeleter:
         if not candidates:
             return untouched
         old = pq.read_table(entry["output"]).sort_by("block_seq")
-        cand = set(candidates)
         has_rs = "row_start" in old.column_names
-        deleted = 0
-        keep_rows: list[pa.Table] = []  # original block rows kept verbatim
-        rewritten: dict[int, pa.Table | None] = {}  # idx -> new row | dropped
-        for i in range(old.num_rows):
-            if i not in cand:
-                continue
+        matched = removed = 0
+        rewritten: dict[int, pa.Table | None] = {}  # idx -> new row | None: emptied
+        for i in candidates:
             decoded = self.dec(old.slice(i, 1))
             m = dnf_mask(decoded, self.dnf)
             if m is None:  # validated non-empty upstream; belt-and-braces
-                raise RuntimeError("delete_rows: empty filter reached the actor")
+                raise RuntimeError(f"{self.op}: empty filter reached the actor")
             mask = pc.fill_null(m, False)
             n_match = int(pc.sum(mask).as_py() or 0)
             if n_match == 0:
                 continue  # zone false positive: keep the encoded row as-is
-            deleted += n_match
-            remaining = decoded.filter(pc.invert(mask))
-            if remaining.num_rows == 0:
-                rewritten[i] = None  # block emptied: drop it
-                continue
-            pseq = (
-                int(old["partition_seq"][i].as_py())
-                if "partition_seq" in old.column_names
-                else 0
-            )
-            enc = self.core.encode_table(
-                remaining,
-                block_seq=0,  # renumbered below with the survivors
+            matched += n_match
+            out = self._transform(decoded, mask)
+            removed += decoded.num_rows - out.num_rows
+            rewritten[i] = None if out.num_rows == 0 else self.core.encode_table(
+                out,
+                block_seq=0,  # renumbered below with the kept rows
                 partition_id=pid,
-                partition_seq=pseq,
+                partition_seq=(
+                    int(old["partition_seq"][i].as_py())
+                    if "partition_seq" in old.column_names
+                    else 0
+                ),
                 row_start=0 if has_rs else None,
-            )
-            rewritten[i] = enc.select(old.column_names)
-        if deleted == 0:
+            ).select(old.column_names)
+        if matched == 0:
             return untouched
-        blocks_dropped = 0
-        for i in range(old.num_rows):
-            if i in rewritten:
-                if rewritten[i] is None:
-                    blocks_dropped += 1
-                else:
-                    keep_rows.append(rewritten[i])
-            else:
-                keep_rows.append(old.slice(i, 1))
-        new = pa.concat_tables(keep_rows) if keep_rows else old.slice(0, 0)
-        # renumber block_seq contiguously; re-derive row_start
-        seq_idx = new.column_names.index("block_seq")
+        kept = [rewritten.get(i, old.slice(i, 1)) for i in range(old.num_rows)]
+        new = pa.concat_tables([t for t in kept if t is not None] or [old.slice(0, 0)])
         new = new.set_column(
-            seq_idx, "block_seq", pa.array(np.arange(new.num_rows), pa.int64())
+            new.column_names.index("block_seq"), "block_seq",
+            pa.array(np.arange(new.num_rows), pa.int64()),
         )
         if has_rs:
-            nr = new["n_rows"].to_numpy(zero_copy_only=False).astype(np.int64)
-            rs = np.zeros(len(nr), dtype=np.int64)
-            np.cumsum(nr[:-1], out=rs[1:])
             new = new.set_column(
-                new.column_names.index("row_start"), "row_start",
-                pa.array(rs, pa.int64()),
+                new.column_names.index("row_start"), "row_start", _row_starts(new["n_rows"])
             )
-        rows_after = int(new["n_rows"].to_numpy(zero_copy_only=False).sum()) if new.num_rows else 0
-        if rows_after + deleted != entry["rows"]:
+        rows_after = _file_fields(new)["rows"]
+        if rows_after + removed != entry["rows"]:
             raise RuntimeError(
-                f"delete_rows: partition {pid} has {entry['rows']} manifest "
-                f"rows but {rows_after} survivors + {deleted} deleted — "
-                "refusing to swap (block file and manifest disagree)"
+                f"{self.op}: partition {pid} has {entry['rows']} manifest "
+                f"rows but {rows_after} after the rewrite + {removed} removed "
+                "— refusing to swap (block file and manifest disagree)"
             )
-        out_file = Path(entry["output"])
-        tmp = _tmp_path(out_file)
-        pq.write_table(new, tmp, compression="none")
-        os.replace(tmp, out_file)  # atomic: readers see old or new, never half
-        if self.chaos_dir:
-            # crash window under test: file swapped, manifest commit
-            # absent — the retried attempt must reconcile via
-            # _reconcile_entry, never double-delete or leave drift
-            _chaos_die_once(self.chaos_dir, pid)
-        new_entry = dict(entry)
-        new_entry["rows"] = rows_after
-        new_entry["blocks"] = new.num_rows
-        new_entry["encoded_bytes"] = (
-            int(new["encoded_bytes"].to_numpy(zero_copy_only=False).sum())
-            if new.num_rows
-            else 0
-        )
-        new_entry["block_hashes"] = (
-            new["content_sha256"].to_pylist() if new.num_rows else []
-        )
-        # row-changing rewrite: bump the generation (invalidates snapshots
-        # that pinned the pre-delete rows) and append delete lineage
-        new_entry["generation"] = int(entry.get("generation", 0)) + 1
-        lineage = list(entry.get("deletes", []))
-        lineage.append(
-            {
-                "filter": [
-                    [_jsonable_predicate(p) for p in conj] for conj in self.dnf
-                ],
-                "rows_deleted": deleted,
-                "blocks_dropped": blocks_dropped,
-            }
-        )
-        new_entry["deletes"] = lineage
-        self.manifest.commit(new_entry)
-        return {
-            "partition_id": pid,
-            "rewritten": True,
-            "rows_deleted": deleted + recovered,
-            "blocks_dropped": blocks_dropped,
+        dropped = sum(1 for t in rewritten.values() if t is None)
+        record = {
+            "filter": [[_jsonable_predicate(p) for p in conj] for conj in self.dnf],
+            **self.spec,
+            **self._counts(matched, len(rewritten) - dropped, dropped),
         }
+        # row-changing rewrite: bump the generation (invalidates snapshots
+        # that pinned the old rows) and append this op's lineage
+        _publish(self.manifest, entry, new, self.chaos_dir,
+                 generation=int(entry.get("generation", 0)) + 1,
+                 **{self.kind: [*entry.get(self.kind, []), record]})
+        return {"partition_id": pid, "rewritten": True,
+                **self._counts(matched + recovered, len(rewritten) - dropped, dropped)}
 
 
-class PartitionUpdater:
-    """Actor-pool stage for update_rows: one committed-partition manifest
-    entry in -> the same partition rewritten with the rows matching a
-    (col, op, value) conjunction TRANSFORMED in place — constant SET
-    and/or vectorized regex scrub per column. Same three-level pruning
-    as PartitionDeleter (zonemap scan -> candidate decode -> exact-match
-    check); a block with zero matches keeps its encoded row verbatim.
-    Row COUNT and order never change, so block_seq / row_start /
-    partition_seq carry over from the old block row and decode_ordered /
-    take_rows keep working untouched. The swap is the same atomic
-    tmp+rename. Updating a cluster_by key keeps pruning CORRECT (zones
-    re-derive from the new values at re-encode) but can widen that
-    block's zone — the clustered layout's disjointness is best-effort
-    after an update, like after any append."""
+class PartitionDeleter(_PartitionRewriter):
+    """Actor-pool stage for delete_rows: the rewrite core with the
+    matching rows removed; a block left empty is dropped."""
+
+    kind, op, summed = "deletes", "delete_rows", ("rows_deleted", "blocks_dropped")
+
+    def _transform(self, decoded: pa.Table, mask) -> pa.Table:
+        return decoded.filter(pc.invert(mask))
+
+    def _counts(self, rows: int, blocks_rewritten: int, blocks_dropped: int) -> dict:
+        return {"rows_deleted": rows, "blocks_dropped": blocks_dropped}
+
+
+class PartitionUpdater(_PartitionRewriter):
+    """Actor-pool stage for update_rows: the rewrite core with the
+    matching rows transformed in place — constant SET and/or vectorized
+    regex scrub per column — and every recorded enrichment whose input
+    is a target recomputed in the same pass, so derived columns never go
+    stale. Row count and order never change. Updating a cluster_by key
+    keeps pruning CORRECT (zones re-derive from the new values at
+    re-encode) but can widen that block's zone — the clustered layout's
+    disjointness is best-effort after an update, like after any append."""
+
+    kind, op, summed = "updates", "update_rows", ("rows_updated",)
 
     def __init__(
         self,
@@ -1622,26 +1529,27 @@ class PartitionUpdater:
         scrub: dict | None,
         chaos_dir: str | None = None,
     ):
-        from .decode import BlockDecoder
-
-        self.out_root = Path(out_root)
-        self.manifest = Manifest(out_root)
-        self.chaos_dir = chaos_dir
-        # filter arrives as a NORMALIZED DNF (list of conjunctions)
-        self.dnf = [[tuple(p) for p in conj] for conj in filter]
+        super().__init__(out_root, params, filter, chaos_dir)
         self.set_values = dict(set_values or {})
         self.scrub = {c: [tuple(r) for r in rules] for c, rules in (scrub or {}).items()}
-        self.core = _encoder_from_params(params)
-        self.dec = BlockDecoder()
+        self.spec = _update_spec(set_values, scrub)
+        self.derived: list[tuple[str, str, str]] = []  # (column, enricher, input)
+        self.fns: dict = {}  # enricher -> fn, set up once per actor
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pylist(
-            [self._update(json.loads(r["entry"])) for r in batch.to_pylist()]
-        )
+    def _run(self, entry: dict) -> dict:
+        targets = set(self.set_values) | set(self.scrub)
+        self.derived = [
+            (x["column"], x["enricher"], x["input"])
+            for x in entry.get("enrichments", [])
+            if x["input"] in targets
+        ]
+        return super()._run(entry)
 
     def _transform(self, decoded: pa.Table, mask) -> pa.Table:
-        """Apply SET + scrub to the masked rows only; types are pinned to
-        each column's existing type so the block schema cannot drift."""
+        """Apply SET + scrub to the masked rows only, then recompute the
+        derived columns of the partition's changed inputs; types are
+        pinned to each column's existing type so the block schema cannot
+        drift."""
         out = decoded
         for col, val in self.set_values.items():
             t = out.schema.field(col).type
@@ -1655,100 +1563,30 @@ class PartitionUpdater:
                 )
             new = pc.if_else(mask, scrubbed, out[col])
             out = out.set_column(out.column_names.index(col), col, new)
+        if self.derived:
+            # enrichers are per-row: recompute on the changed rows only
+            # and put them back (a whole-block recompute cost more than
+            # the rest of a scattered scrub)
+            rows = pa.chunked_array(mask).combine_chunks()
+            changed = out.filter(rows)
+        for col, enricher, input_col in self.derived:
+            if enricher not in self.fns:
+                self.fns[enricher] = _enricher_registry()[enricher]()
+            vals = self.fns[enricher](changed, input_col).cast(out.schema.field(col).type)
+            new = pc.replace_with_mask(out[col], rows, pa.chunked_array(vals).combine_chunks())
+            out = out.set_column(out.column_names.index(col), col, new)
         return out
 
-    def _update(self, entry: dict) -> dict:
-        from .decode import dnf_mask, zone_may_match_any
+    def _counts(self, rows: int, blocks_rewritten: int, blocks_dropped: int) -> dict:
+        return {"rows_updated": rows, "blocks_rewritten": blocks_rewritten}
 
-        pid = entry["partition_id"]
-        # finish a crashed attempt's commit BEFORE the zone scan (see
-        # PartitionDeleter._delete: a falsified filter would otherwise
-        # skip the partition and leave manifest-behind-blocks drift)
-        entry = _reconcile_entry(self.manifest, entry, "updates")
-        untouched = {"partition_id": pid, "rewritten": False, "rows_updated": 0}
-        # level 1: zonemaps only, seq-aligned with the full read below
-        if "zonemap" in pq.read_schema(entry["output"]).names:
-            zonly = pq.read_table(
-                entry["output"], columns=["zonemap", "block_seq"]
-            ).sort_by("block_seq")
-            candidates = [
-                i
-                for i, z in enumerate(zonly["zonemap"].to_pylist())
-                if zone_may_match_any(json.loads(z) if z else {}, self.dnf)
-            ]
-        else:
-            candidates = list(range(pq.ParquetFile(entry["output"]).metadata.num_rows))
-        if not candidates:
-            return untouched
-        old = pq.read_table(entry["output"]).sort_by("block_seq")
-        has_rs = "row_start" in old.column_names
-        updated = 0
-        rewritten: dict[int, pa.Table] = {}
-        for i in candidates:
-            decoded = self.dec(old.slice(i, 1))
-            m = dnf_mask(decoded, self.dnf)
-            if m is None:  # validated non-empty upstream; belt-and-braces
-                raise RuntimeError("update_rows: empty filter reached the actor")
-            mask = pc.fill_null(m, False)
-            n_match = int(pc.sum(mask).as_py() or 0)
-            if n_match == 0:
-                continue  # zone false positive: keep the encoded row as-is
-            updated += n_match
-            enc = self.core.encode_table(
-                self._transform(decoded, mask),
-                block_seq=int(old["block_seq"][i].as_py()),
-                partition_id=pid,
-                partition_seq=(
-                    int(old["partition_seq"][i].as_py())
-                    if "partition_seq" in old.column_names
-                    else 0
-                ),
-                row_start=int(old["row_start"][i].as_py()) if has_rs else None,
-            )
-            rewritten[i] = enc.select(old.column_names)
-        if updated == 0:
-            return untouched
-        new = pa.concat_tables(
-            rewritten.get(i, old.slice(i, 1)) for i in range(old.num_rows)
-        )
-        rows_after = int(new["n_rows"].to_numpy(zero_copy_only=False).sum())
-        if rows_after != entry["rows"]:
-            raise RuntimeError(
-                f"update_rows: partition {pid} has {entry['rows']} manifest "
-                f"rows but {rows_after} after the rewrite — refusing to swap "
-                "(an update must never change the row count)"
-            )
-        out_file = Path(entry["output"])
-        tmp = _tmp_path(out_file)
-        pq.write_table(new, tmp, compression="none")
-        os.replace(tmp, out_file)  # atomic: readers see old or new, never half
-        if self.chaos_dir:
-            # crash window under test: file swapped, manifest commit
-            # absent — the retry must reconcile, never re-apply blindly
-            _chaos_die_once(self.chaos_dir, pid)
-        new_entry = dict(entry)
-        new_entry["encoded_bytes"] = int(
-            new["encoded_bytes"].to_numpy(zero_copy_only=False).sum()
-        )
-        new_entry["block_hashes"] = new["content_sha256"].to_pylist()
-        # row-CONTENT change: bump the generation (stale snapshots must
-        # refuse, same contract as delete) and append update lineage
-        new_entry["generation"] = int(entry.get("generation", 0)) + 1
-        lineage = list(entry.get("updates", []))
-        lineage.append(
-            {
-                "filter": [
-                    [_jsonable_predicate(p) for p in conj] for conj in self.dnf
-                ],
-                "set": {k: _json_scalar(v) for k, v in self.set_values.items()},
-                "scrub": {c: [list(r) for r in rules] for c, rules in self.scrub.items()},
-                "rows_updated": updated,
-                "blocks_rewritten": len(rewritten),
-            }
-        )
-        new_entry["updates"] = lineage
-        self.manifest.commit(new_entry)
-        return {"partition_id": pid, "rewritten": True, "rows_updated": updated}
+
+def _update_spec(set_values: dict | None, scrub: dict | None) -> dict:
+    """An update's parameters as recorded in its lineage and audit log."""
+    return {
+        "set": {k: _json_scalar(v) for k, v in (set_values or {}).items()},
+        "scrub": {c: [list(r) for r in rules] for c, rules in (scrub or {}).items()},
+    }
 
 
 def _json_scalar(v):
@@ -1783,19 +1621,13 @@ def update_rows(
     delete; a scrub whose filter still matches the scrubbed text
     re-applies (regexes should consume what they match). Row content
     changes, so rewritten partitions' generations bump and snapshots
-    taken before the update refuse those partitions (read_blocks_at)."""
-    from .decode import normalize_dnf, validate_predicate_shapes
-
+    taken before the update refuse those partitions (read_blocks_at).
+    Enrichment columns whose recorded input is a SET/scrub target are
+    recomputed for the changed rows in the same rewrite."""
     if not filter:
         raise ValueError("update_rows needs a non-empty (col, op, value) filter")
     if not set_values and not scrub:
         raise ValueError("update_rows needs set_values and/or scrub")
-    # accept a flat conjunction or a DNF (list of conjunctions)
-    dnf = normalize_dnf(filter)
-    if not all(conj for conj in dnf):
-        raise ValueError("update_rows: empty conjunction in the DNF filter")
-    for conj in dnf:
-        validate_predicate_shapes(conj, set(), "job dir")
     for col, rules in (scrub or {}).items():
         for r in rules:
             if not (isinstance(r, (tuple, list)) and len(r) == 2
@@ -1804,119 +1636,113 @@ def update_rows(
                     f"scrub[{col!r}] entries must be (regex, replacement) "
                     f"string pairs, got {r!r}"
                 )
-    manifest = Manifest(out_root)
-    rec = manifest.job_record()
-    if rec is None:
-        raise ValueError(f"{out_root} has no job record; not an encode-job dir")
-    params = rec.get("params", {})
+    spec = _update_spec(set_values, scrub)
     # lineage must be recordable: a non-JSON SET constant would otherwise
     # raise inside the actor AFTER the block swap and BEFORE the manifest
     # commit — fail fast at the driver instead
     try:
-        json.dumps({k: _json_scalar(v) for k, v in (set_values or {}).items()})
+        json.dumps(spec)
     except TypeError as e:
         raise ValueError(
             f"set_values must be JSON-recordable constants "
             f"(str/num/bool/None/bytes): {e}"
         ) from None
-    entries = [e for e in manifest.entries() if e.get("output") and e.get("rows")]
+    dnf, params, entries = _rewrite_prologue(out_root, filter, "update_rows")
+    targets = sorted(set(list(set_values or {}) + list(scrub or {})))
+    if any(e.get("columns") for e in entries):
+        # PER-ENTRY membership, not the union: a half-enriched dir (a
+        # legal resumable state) has the target in SOME partitions —
+        # a union check would pass the gate and then fail actor-side
+        # after other partitions were already rewritten and committed
+        for c in targets:
+            for e in entries:
+                if c not in e.get("columns", {}):
+                    raise ValueError(
+                        f"update target column {c!r} is not in partition "
+                        f"{e['partition_id']}'s encoded columns (have: "
+                        f"{sorted(e.get('columns', {}))}) — finish the "
+                        "pending enrich_many first"
+                    )
     if entries:
-        cols = {c for e in entries for c in e.get("columns", {})}
-        if cols:
-            for conj in dnf:
-                validate_predicate_shapes(conj, cols, "encoded columns")
-            # PER-ENTRY membership, not the union: a half-enriched dir (a
-            # legal resumable state) has the target in SOME partitions —
-            # a union check would pass the gate and then fail actor-side
-            # after other partitions were already rewritten and committed
-            for c in list(set_values or {}) + list(scrub or {}):
-                for e in entries:
-                    if c not in e.get("columns", {}):
-                        raise ValueError(
-                            f"update target column {c!r} is not in partition "
-                            f"{e['partition_id']}'s encoded columns (have: "
-                            f"{sorted(e.get('columns', {}))}) — finish the "
-                            "pending enrich_many first"
-                        )
         # type gate at the driver, BEFORE any partition rewrites: decode
         # one block row's target columns and refuse un-SET-table scalars
         # and scrub on non-string columns here (an actor-side failure
         # would leave some partitions rewritten, some not)
-        targets = sorted(set(list(set_values or {}) + list(scrub or {})))
-        if targets:
-            from .decode import BlockDecoder
+        from .decode import BlockDecoder
 
-            # prune the probe read: meta columns + only the target blobs
-            # (a full read would pull every encoded blob of the partition
-            # into the driver just to decode one block row)
-            names = pq.read_schema(entries[0]["output"]).names
-            keep = [c for c in names if not c.startswith("col_")] + [
-                c for c in names if c.startswith("col_") and c[4:] in targets
-            ]
-            probe = BlockDecoder(columns=targets)(
-                pq.read_table(entries[0]["output"], columns=keep).slice(0, 1)
-            )
-            for c, v in (set_values or {}).items():
-                t = probe.schema.field(c).type
-                try:
-                    pa.scalar(v, type=t)
-                except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError) as e:
-                    raise ValueError(
-                        f"set_values[{c!r}]={v!r} is not castable to the "
-                        f"column's type {t}: {e}"
-                    ) from None
-            for c in scrub or {}:
-                t = probe.schema.field(c).type
-                if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
-                    raise ValueError(
-                        f"scrub column {c!r} has type {t}: regex scrub "
-                        "needs a string column"
-                    )
-    summary = {
-        "partitions_total": len(entries),
-        "partitions_rewritten": 0,
-        "rows_updated": 0,
-    }
+        # prune the probe read: meta columns + only the target blobs
+        # (a full read would pull every encoded blob of the partition
+        # into the driver just to decode one block row)
+        names = pq.read_schema(entries[0]["output"]).names
+        keep = [c for c in names if not c.startswith("col_")] + [
+            c for c in names if c.startswith("col_") and c[4:] in targets
+        ]
+        probe = BlockDecoder(columns=targets)(
+            pq.read_table(entries[0]["output"], columns=keep).slice(0, 1)
+        )
+        for c, v in (set_values or {}).items():
+            t = probe.schema.field(c).type
+            try:
+                pa.scalar(v, type=t)
+            except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError) as e:
+                raise ValueError(
+                    f"set_values[{c!r}]={v!r} is not castable to the "
+                    f"column's type {t}: {e}"
+                ) from None
+        for c in scrub or {}:
+            t = probe.schema.field(c).type
+            if not (pa.types.is_string(t) or pa.types.is_large_string(t)):
+                raise ValueError(
+                    f"scrub column {c!r} has type {t}: regex scrub "
+                    "needs a string column"
+                )
+    return _rewrite_rows(PartitionUpdater, out_root, dnf, params, entries,
+                         concurrency, chaos_dir, spec,
+                         set_values=set_values, scrub=scrub)
+
+
+def _rewrite_prologue(out_root: str, filter: list, op: str) -> tuple:
+    """Driver prologue shared by delete_rows/update_rows: normalize the
+    filter (a flat conjunction or a DNF) and validate it, then gate on
+    the job record and the encoded columns. Returns (dnf, params,
+    entries)."""
+    from .decode import normalize_dnf, validate_predicate_shapes
+
+    dnf = normalize_dnf(filter)
+    if not all(conj for conj in dnf):
+        raise ValueError(f"{op}: empty conjunction in the DNF filter")
+    for conj in dnf:
+        validate_predicate_shapes(conj, set(), "job dir")
+    _, params, entries = _job_entries(out_root)
+    cols = {c for e in entries for c in e.get("columns", {})}
+    if cols:
+        for conj in dnf:
+            validate_predicate_shapes(conj, cols, "encoded columns")
+    return dnf, params, entries
+
+
+def _rewrite_rows(actor: type, out_root: str, dnf: list, params: dict,
+                  entries: list[dict], concurrency, chaos_dir: str | None,
+                  spec: dict | None = None, **ctor) -> dict:
+    """Driver dispatch shared by delete_rows/update_rows: run the rewrite
+    actor over every committed partition, sum its counts into the
+    summary and append the root-level audit line to ``<kind>.log``
+    (single-driver append, like the job record)."""
+    summary = {"partitions_total": len(entries), "partitions_rewritten": 0,
+               **dict.fromkeys(actor.summed, 0)}
     if not entries:
         return summary
-    if concurrency is None:
-        concurrency = (1, max(2, cluster_cpus() - 2))
-    results = (
-        ray.data.from_items([{"entry": json.dumps(e)} for e in entries])
-        .map_batches(
-            PartitionUpdater,
-            fn_constructor_kwargs={
-                "out_root": out_root,
-                "params": params,
-                "filter": [[list(p) for p in conj] for conj in dnf],
-                "set_values": set_values,
-                "scrub": scrub,
-                "chaos_dir": chaos_dir,
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=concurrency,
-            zero_copy_batch=True,
-        )
-        .take_all()  # control-plane rows: one per partition, tiny
+    results = _map_partitions(
+        actor, entries, concurrency, out_root=out_root, params=params,
+        filter=[[list(p) for p in conj] for conj in dnf], chaos_dir=chaos_dir, **ctor,
     )
     summary["partitions_rewritten"] = sum(1 for r in results if r["rewritten"])
-    summary["rows_updated"] = sum(r["rows_updated"] for r in results)
-    with open(Path(out_root) / "updates.log", "a") as f:
-        f.write(
-            json.dumps(
-                {
-                    "filter": [
-                        [_jsonable_predicate(p) for p in conj] for conj in dnf
-                    ],
-                    "set": {k: _json_scalar(v) for k, v in (set_values or {}).items()},
-                    "scrub": scrub or {},
-                    **summary,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+    for k in actor.summed:
+        summary[k] = sum(r[k] for r in results)
+    line = {"filter": [[_jsonable_predicate(p) for p in conj] for conj in dnf],
+            **(spec or {}), **summary}
+    with open(Path(out_root) / f"{actor.kind}.log", "a") as f:
+        f.write(json.dumps(line, separators=(",", ":")) + "\n")
     return summary
 
 
@@ -2003,7 +1829,7 @@ def _enricher_registry() -> dict:
     }
 
 
-class PartitionEnricher:
+class PartitionEnricher(_PartitionStage):
     """Actor-pool stage for enrich_many/enrich_job: one committed-
     partition manifest entry in -> the same partition with one or more
     new encoded columns appended to every block. The input column
@@ -2023,7 +1849,6 @@ class PartitionEnricher:
                  input_column: str, chaos_dir: str | None = None):
         from .decode import BlockDecoder
 
-        self.out_root = Path(out_root)
         self.manifest = Manifest(out_root)
         self.columns = dict(columns)  # name -> enricher
         self.input_column = input_column
@@ -2038,42 +1863,13 @@ class PartitionEnricher:
         )
         self.dec = BlockDecoder(columns=[input_column])
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pylist(
-            [self._enrich(json.loads(r["entry"])) for r in batch.to_pylist()]
-        )
-
-    @staticmethod
-    def _fold(summary: dict, info: dict) -> None:
-        summary["codecs"][info["codec"]] = (
-            summary["codecs"].get(info["codec"], 0) + 1
-        )
-        summary["src_bytes"] += info["src_bytes"]
-        summary["enc_bytes"] += info["enc_bytes"]
-        summary["ms"] = round(summary["ms"] + info["ms"], 3)
-
-    def _summary_from_lineage(self, old: pa.Table, name: str) -> dict:
-        """Reconstruct a column summary from an already-published file —
-        the commit-finish path after a publish-then-die crash."""
-        s = {"codecs": {}, "src_bytes": 0, "enc_bytes": 0, "ms": 0.0}
-        for ls in old["lineage"].to_pylist():
-            info = json.loads(ls or "{}").get(name)
-            if info:
-                self._fold(s, info)
-        return s
-
-    def _enrich(self, entry: dict) -> dict:
+    def _run(self, entry: dict) -> dict:
         pid = entry["partition_id"]
         old = pq.read_table(entry["output"])
-        present = [n for n in self.columns if f"col_{n}" in old.column_names]
         missing = [n for n in self.columns if f"col_{n}" not in old.column_names]
-        summaries = {n: self._summary_from_lineage(old, n) for n in present}
         new = old
         if missing:
             blobs: dict[str, list[bytes]] = {n: [] for n in missing}
-            for n in missing:
-                summaries[n] = {"codecs": {}, "src_bytes": 0, "enc_bytes": 0,
-                                "ms": 0.0}
             lineages: list[str] = []
             zonemaps: list[str] = []
             enc_bytes: list[int] = []
@@ -2097,7 +1893,6 @@ class PartitionEnricher:
                     blob = enc[f"col_{n}"][0].as_py()
                     blobs[n].append(blob)
                     added += len(blob)
-                    self._fold(summaries[n], enc_lin[n])
                     lin[n] = enc_lin[n]
                 lineages.append(json.dumps(lin, separators=(",", ":")))
                 # merge the new columns' zones + reserved metadata keys
@@ -2128,21 +1923,9 @@ class PartitionEnricher:
                 new = new.append_column(
                     f"col_{n}", pa.array(blobs[n], type=pa.binary())
                 )
-            out_file = Path(entry["output"])
-            tmp = _tmp_path(out_file)
-            pq.write_table(new, tmp, compression="none")
-            os.replace(tmp, out_file)  # atomic: old or new, never half
-            if self.chaos_dir:
-                # crash window under test: columns published, manifest
-                # commit absent — the retried attempt must take the
-                # commit-finish path, never append a column twice
-                _chaos_die_once(self.chaos_dir, pid)
-        # commit (fresh work AND commit-finish for published-but-
-        # uncommitted columns alike)
-        new_entry = dict(entry)
-        new_entry["encoded_bytes"] = int(
-            sum(new["encoded_bytes"].to_pylist())
-        )
+        # summaries fold from the file's lineage: fresh columns AND the
+        # commit-finish of columns a crashed attempt published
+        summaries = _column_summaries(new, self.columns)
         cols = dict(entry.get("columns", {}))
         lineage = list(entry.get("enrichments", []))
         recorded = {x["column"] for x in lineage}
@@ -2157,10 +1940,11 @@ class PartitionEnricher:
                      "input": self.input_column}
                 )
                 changed = True
-        if missing or changed:
-            new_entry["columns"] = cols
-            new_entry["enrichments"] = lineage
-            self.manifest.commit(new_entry)
+        if missing:
+            _publish(self.manifest, entry, new, self.chaos_dir,
+                     columns=cols, enrichments=lineage)
+        elif changed:  # published by a crashed attempt: commit only
+            _commit_entry(self.manifest, entry, new, columns=cols, enrichments=lineage)
         return {
             "partition_id": pid,
             "rows": int(entry["rows"]) if missing else 0,
@@ -2206,12 +1990,7 @@ def enrich_many(
             raise ValueError(
                 f"column name {column!r} collides with block metadata"
             )
-    manifest = Manifest(out_root)
-    rec = manifest.job_record()
-    if rec is None:
-        raise ValueError(f"{out_root} has no job record; not an encode-job dir")
-    params = rec.get("params", {})
-    entries = [e for e in manifest.entries() if e.get("output") and e.get("rows")]
+    _, params, entries = _job_entries(out_root)
     pending = []
     for e in entries:
         cols = e.get("columns", {})
@@ -2248,25 +2027,9 @@ def enrich_many(
     }
     if not pending:
         return summary
-    if concurrency is None:
-        concurrency = (1, max(2, cluster_cpus() - 2))
-    results = (
-        ray.data.from_items([{"entry": json.dumps(e)} for e in pending])
-        .map_batches(
-            PartitionEnricher,
-            fn_constructor_kwargs={
-                "out_root": out_root,
-                "params": params,
-                "columns": dict(columns),
-                "input_column": input_column,
-                "chaos_dir": chaos_dir,
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=concurrency,
-            zero_copy_batch=True,
-        )
-        .take_all()  # control-plane rows: one per partition, tiny
+    results = _map_partitions(
+        PartitionEnricher, pending, concurrency, out_root=out_root, params=params,
+        columns=dict(columns), input_column=input_column, chaos_dir=chaos_dir,
     )
     for r in results:
         if r["skipped"]:
@@ -2312,75 +2075,14 @@ def delete_rows(
     ROW CONTENT, so it bumps each rewritten partition's generation —
     snapshots taken before the delete refuse to read those partitions
     (read_blocks_at) instead of silently time-traveling to wrong rows."""
-    from .decode import normalize_dnf, validate_predicate_shapes
-
     if not filter:
         raise ValueError(
             "delete_rows needs a non-empty (col, op, value) filter — "
             "to drop a whole job dir, delete the out_root instead"
         )
-    # accept a flat conjunction or a DNF (list of conjunctions)
-    dnf = normalize_dnf(filter)
-    if not all(conj for conj in dnf):
-        raise ValueError("delete_rows: empty conjunction in the DNF filter")
-    for conj in dnf:
-        validate_predicate_shapes(conj, set(), "job dir")
-    manifest = Manifest(out_root)
-    rec = manifest.job_record()
-    if rec is None:
-        raise ValueError(f"{out_root} has no job record; not an encode-job dir")
-    params = rec.get("params", {})
-    entries = [e for e in manifest.entries() if e.get("output") and e.get("rows")]
-    if entries:
-        cols = {c for e in entries for c in e.get("columns", {})}
-        if cols:
-            for conj in dnf:
-                validate_predicate_shapes(conj, cols, "encoded columns")
-    summary = {
-        "partitions_total": len(entries),
-        "partitions_rewritten": 0,
-        "rows_deleted": 0,
-        "blocks_dropped": 0,
-    }
-    if not entries:
-        return summary
-    if concurrency is None:
-        concurrency = (1, max(2, cluster_cpus() - 2))
-    results = (
-        ray.data.from_items([{"entry": json.dumps(e)} for e in entries])
-        .map_batches(
-            PartitionDeleter,
-            fn_constructor_kwargs={
-                "out_root": out_root,
-                "params": params,
-                "filter": [[list(p) for p in conj] for conj in dnf],
-                "chaos_dir": chaos_dir,
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=concurrency,
-            zero_copy_batch=True,
-        )
-        .take_all()  # control-plane rows: one per partition, tiny
-    )
-    summary["partitions_rewritten"] = sum(1 for r in results if r["rewritten"])
-    summary["rows_deleted"] = sum(r["rows_deleted"] for r in results)
-    summary["blocks_dropped"] = sum(r["blocks_dropped"] for r in results)
-    # root-level audit line (single-driver append, like the job record)
-    with open(Path(out_root) / "deletes.log", "a") as f:
-        f.write(
-            json.dumps(
-                {
-                    "filter": [
-                        [_jsonable_predicate(p) for p in conj] for conj in dnf
-                    ],
-                    **summary,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-    return summary
+    dnf, params, entries = _rewrite_prologue(out_root, filter, "delete_rows")
+    return _rewrite_rows(PartitionDeleter, out_root, dnf, params, entries,
+                         concurrency, chaos_dir)
 
 
 def read_blocks_at(out_root: str, version: int) -> "ray.data.Dataset":

@@ -221,6 +221,9 @@ def test_actor_death_mid_delete_and_update_reconciles(
     assert "python" not in got_langs
     assert got_langs.count("py") == langs.count("python") > 0
     assert u["rows_updated"] <= langs.count("python")
+    assert u["partitions_rewritten"] == sum(
+        1 for e in Manifest(root).entries() if e.get("updates")
+    )
     r = fsck_job(root)
     assert r["ok"], r["errors"]
 

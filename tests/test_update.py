@@ -302,3 +302,47 @@ def test_update_validation(ray_session, tmp_path):
     with pytest.raises(ValueError, match="needs a string column"):
         update_rows(str(out), [("lang", "==", "de")],
                     scrub={"doc_id": [("1", "2")]})
+
+
+def test_update_recomputes_enrichments_of_its_targets(ray_session, tmp_path):
+    """Derived columns whose recorded input is a scrub target are
+    recomputed in the same rewrite, never left stale."""
+    import hashlib
+
+    from rayenc import enrich_many, fsck_job
+
+    srcs, out = _job(tmp_path, n=1400, files=1, max_partition_bytes=20_000)
+    enrich_many(str(out), {"sha": "sha256_hex", "nc": "n_chars"}, input_column="body")
+    s = update_rows(
+        str(out),
+        [("body", "contains", "@example.com")],
+        scrub={"body": [(r"[\w.+-]+@[\w-]+\.[\w.]+", "[EMAIL-REDACTED]")]},
+    )
+    assert s["rows_updated"] > 0
+    got = _decode_all(out)
+    bodies = got["body"].to_pylist()
+    assert sum("[EMAIL-REDACTED]" in b for b in bodies) == s["rows_updated"]
+    assert got["nc"].to_pylist() == [len(b) for b in bodies]
+    assert got["sha"].to_pylist() == [
+        hashlib.sha256(b.encode()).hexdigest() for b in bodies
+    ]
+    assert fsck_job(str(out), deep=True)["ok"]
+
+
+def test_cli_scrub_splits_at_first_unescaped_equals():
+    from rayenc.__main__ import _parse_scrub
+
+    assert _parse_scrub(["content:import =use "]) == {"content": [("import ", "use ")]}
+    assert _parse_scrub(["body:key=x=y"]) == {"body": [("key", "x=y")]}
+    assert _parse_scrub([r"body:a\=1=b", "body:c=d"]) == {
+        "body": [(r"a\=1", "b"), ("c", "d")]
+    }
+    # RE2 reads the escaped '=' as a literal one
+    import pyarrow.compute as pc
+
+    assert pc.replace_substring_regex(
+        pa.array(["a=1"]), pattern=r"a\=1", replacement="b"
+    ).to_pylist() == ["b"]
+    for bad in ["body", "body:noequals", "body:=x", ":a=b"]:
+        with pytest.raises(SystemExit):
+            _parse_scrub([bad])

@@ -2,6 +2,7 @@
 single-column enrich_job over the same encoded corpus.
 
 Usage: python tools/enrich_bench.py [ROWS]  (default 200_000)
+RAY_GRAFT_CPUS sets Ray's logical CPU count (default 32), as in bench.py.
 
 Generates the deterministic synthetic corpus, encodes it once, then
 times (a) enrich_many({lang_pred, quality, n_tok}) in ONE decode pass
@@ -24,8 +25,8 @@ import ray
 
 def main() -> None:
     rows = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
-             logging_level="ERROR")
+    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+             include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
