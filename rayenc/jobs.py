@@ -8,7 +8,7 @@ table atomically, commit a manifest entry per partition.
 
 The work queue is a small Ray Dataset of partition descriptors (a
 control-plane table, a few hundred bytes per row); the heavy data is
-read inside the encode actor with pyarrow, column-pruned, row-group at
+read inside the encode task with pyarrow, column-pruned, row-group at
 a time, so one partition never materializes more than one row-group +
 one encoded block. This is the deliberate exception documented in the
 survey: resumability requires partition identity, which Ray's opaque
@@ -19,7 +19,7 @@ Skew handling (north rule): partitions are bounded by row-group ranges
 (`max_partition_bytes`), so a giant input file becomes many partitions;
 within a partition, blocks are capped at `block_rows` rows AND
 `max_block_bytes` of string payload, so one huge content blob cannot
-stall an actor or blow a worker heap.
+stall a task or blow a worker heap.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def validate_cluster_mode(mode: str, cluster_by: list[str] | None) -> str:
     """`lex` = lexicographic multi-key sort (tight zones on the first
     key); `zorder` = Morton-curve interleave (bounded per-block range on
     EVERY cluster key — see rayenc.zorder). Validated here once so the
-    driver (run_encode_job) and the actor (PartitionEncoder) agree."""
+    driver (run_encode_job) and the stage (PartitionEncoder) agree."""
     if mode not in CLUSTER_MODES:
         raise ValueError(f"cluster_mode must be one of {CLUSTER_MODES}, got {mode!r}")
     if mode == "zorder" and (not cluster_by or len(cluster_by) < 2):
@@ -324,10 +324,11 @@ def _encoder_from_params(params: dict, **overrides) -> BlockEncoder:
 
 
 def _chaos_die_once(chaos_dir: str, pid: str) -> None:
-    """Fault-injection hook (chaos tests): hard-exit the actor process
-    the FIRST time each partition reaches the caller's crash point. An
-    O_EXCL flag file claims the death atomically, so the Ray-retried
-    attempt (and any concurrent duplicate) sails through. ``os._exit``
+    """Fault-injection hook (chaos tests): hard-exit the task worker
+    process the FIRST time each partition reaches the caller's crash
+    point. Ray's task retry reruns the partition on another worker; an
+    O_EXCL flag file claims the death atomically, so the retried attempt
+    (and any concurrent duplicate) sails through. ``os._exit``
     bypasses every exception handler and finalizer on purpose — this
     models a node loss, not an error path. Exercised by
     tests/test_chaos.py; never set in production jobs."""
@@ -455,24 +456,52 @@ def _job_entries(out_root: str) -> tuple[Manifest, dict, list[dict]]:
     return manifest, rec.get("params", {}), entries
 
 
-def _map_partitions(actor: type, items: list[dict], concurrency, **ctor) -> list[dict]:
-    """Run a `_PartitionStage` actor pool over `items` (partition
-    descriptors or manifest entries), one partition per call. Items
-    ride as JSON strings: their nested per-column/lineage dicts vary in
-    shape across partitions (post-delete entries carry keys fresh ones
-    lack), which a columnar from_items block can't represent uniformly."""
+# The stage of the operation this worker process last served:
+# op token -> stage object. One slot, so a new operation's token evicts
+# the previous operation's stage.
+_STAGE_SLOT: dict = {}
+
+
+def _run_stage(batch: pa.Table, stage_class: type, ctor_kwargs: dict,
+               op_token: str) -> pa.Table:
+    """Ray Data task body of `_map_partitions`. A worker builds the
+    operation's stage on the first partition it receives and reuses it
+    for every later partition of that operation it gets, so the stage's
+    setup and its encoder's codec cache carry across partitions."""
+    stage = _STAGE_SLOT.get(op_token)
+    if stage is None:
+        # built before the old stage is dropped, so a new stage never
+        # reuses the previous operation's object id
+        stage = stage_class(**ctor_kwargs)
+        _STAGE_SLOT.clear()
+        _STAGE_SLOT[op_token] = stage
+    return stage(batch)
+
+
+def _map_partitions(stage_class: type, items: list, concurrency, **ctor) -> list[dict]:
+    """Run a `_PartitionStage` over `items` (partition descriptors,
+    manifest entries or partition ids), one partition per Ray Data task.
+    Task workers outlive the call, so later operations find rayenc
+    already imported. At most `concurrency` partitions run at once (a
+    tuple's upper bound); the default leaves two CPUs to the rest of the
+    cluster, and the cap never exceeds the partition count. Items ride as
+    JSON strings: their nested per-column/lineage dicts vary in shape
+    across partitions (post-delete entries carry keys fresh ones lack),
+    which a columnar from_items block can't represent uniformly."""
     if concurrency is None:
-        # the actor reads its own partition (no separate read stage to
-        # starve): use nearly all CPUs
-        concurrency = (1, max(2, cluster_cpus() - 2))
+        concurrency = max(2, cluster_cpus() - 2)
+    elif isinstance(concurrency, tuple):
+        concurrency = concurrency[1]
     return (
-        ray.data.from_items([{"item": json.dumps(x)} for x in items])
+        ray.data.from_items([{"item": json.dumps(x)} for x in items],
+                            override_num_blocks=len(items))
         .map_batches(
-            actor,
-            fn_constructor_kwargs=ctor,
+            _run_stage,
+            fn_kwargs={"stage_class": stage_class, "ctor_kwargs": ctor,
+                       "op_token": secrets.token_hex(16)},
             batch_format="pyarrow",
             batch_size=1,
-            concurrency=concurrency,
+            concurrency=min(int(concurrency), len(items)),
             zero_copy_batch=True,
         )
         .take_all()  # control-plane rows: one per partition, tiny
@@ -480,7 +509,7 @@ def _map_partitions(actor: type, items: list[dict], concurrency, **ctor) -> list
 
 
 class _PartitionStage:
-    """Base of the actors `_map_partitions` drives: `_run` turns one
+    """Base of the stages `_map_partitions` drives: `_run` turns one
     partition's item into its result row."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -490,8 +519,8 @@ class _PartitionStage:
 
 
 class PartitionEncoder(_PartitionStage):
-    """Actor-pool stage: one partition descriptor in -> one committed
-    partition out (blocks parquet + manifest entry)."""
+    """Partition stage of run_encode_job: one partition descriptor in ->
+    one committed partition out (blocks parquet + manifest entry)."""
 
     def __init__(
         self,
@@ -568,7 +597,7 @@ class PartitionEncoder(_PartitionStage):
             within-partition zones become tight and disjoint on the
             cluster key, so range scans over an unsorted source prune at
             block granularity. Memory: the whole partition's rows live in
-            the actor at once (<= max_partition_bytes source bytes, the
+            the task at once (<= max_partition_bytes source bytes, the
             same per-task ceiling PartitionExporter works to) instead of
             one row-group; that is the price of the layout choice."""
             for rg in range(part["rg_start"], part["rg_end"] + 1):
@@ -864,9 +893,9 @@ def run_encode_job(
     """Resumable distributed encode. Returns a job summary dict.
 
     `chaos_dir` is a fault-injection hook for tests ONLY: when set, the
-    first attempt at each partition hard-exits its actor process right
+    first attempt at each partition hard-exits its task worker right
     after publishing the blocks parquet and before the manifest commit
-    (the worst crash window); Ray Data restarts the actor and retries.
+    (the worst crash window); Ray's task retry reruns the partition.
     It changes no rows and is deliberately NOT part of the job record.
 
     `append=True` is incremental ingestion: the input list may GROW
@@ -906,7 +935,7 @@ def run_encode_job(
     if filter:
         # fail fast on the driver (same class as decode.validate_predicates):
         # an unknown op or missing column would otherwise die inside an
-        # encode actor mid-partition
+        # encode task mid-partition
         from .decode import validate_predicate_shapes
 
         if any(
@@ -1016,7 +1045,7 @@ def run_encode_job(
 
 
 class PartitionCompactor(_PartitionStage):
-    """Actor-pool stage for compact_job: one committed-partition manifest
+    """Partition stage of compact_job: one committed-partition manifest
     entry in -> the same partition rewritten at target_block_rows."""
 
     def __init__(
@@ -1442,7 +1471,7 @@ class _PartitionRewriter(_PartitionStage):
             decoded = self.dec(old.slice(i, 1))
             m = dnf_mask(decoded, self.dnf)
             if m is None:  # validated non-empty upstream; belt-and-braces
-                raise RuntimeError(f"{self.op}: empty filter reached the actor")
+                raise RuntimeError(f"{self.op}: empty filter reached the task")
             mask = pc.fill_null(m, False)
             n_match = int(pc.sum(mask).as_py() or 0)
             if n_match == 0:
@@ -1496,7 +1525,7 @@ class _PartitionRewriter(_PartitionStage):
 
 
 class PartitionDeleter(_PartitionRewriter):
-    """Actor-pool stage for delete_rows: the rewrite core with the
+    """Partition stage of delete_rows: the rewrite core with the
     matching rows removed; a block left empty is dropped."""
 
     kind, op, summed = "deletes", "delete_rows", ("rows_deleted", "blocks_dropped")
@@ -1509,7 +1538,7 @@ class PartitionDeleter(_PartitionRewriter):
 
 
 class PartitionUpdater(_PartitionRewriter):
-    """Actor-pool stage for update_rows: the rewrite core with the
+    """Partition stage of update_rows: the rewrite core with the
     matching rows transformed in place — constant SET and/or vectorized
     regex scrub per column — and every recorded enrichment whose input
     is a target recomputed in the same pass, so derived columns never go
@@ -1534,7 +1563,7 @@ class PartitionUpdater(_PartitionRewriter):
         self.scrub = {c: [tuple(r) for r in rules] for c, rules in (scrub or {}).items()}
         self.spec = _update_spec(set_values, scrub)
         self.derived: list[tuple[str, str, str]] = []  # (column, enricher, input)
-        self.fns: dict = {}  # enricher -> fn, set up once per actor
+        self.fns: dict = {}  # enricher -> fn, set up once per stage
 
     def _run(self, entry: dict) -> dict:
         targets = set(self.set_values) | set(self.scrub)
@@ -1638,7 +1667,7 @@ def update_rows(
                 )
     spec = _update_spec(set_values, scrub)
     # lineage must be recordable: a non-JSON SET constant would otherwise
-    # raise inside the actor AFTER the block swap and BEFORE the manifest
+    # raise inside the task AFTER the block swap and BEFORE the manifest
     # commit — fail fast at the driver instead
     try:
         json.dumps(spec)
@@ -1652,7 +1681,7 @@ def update_rows(
     if any(e.get("columns") for e in entries):
         # PER-ENTRY membership, not the union: a half-enriched dir (a
         # legal resumable state) has the target in SOME partitions —
-        # a union check would pass the gate and then fail actor-side
+        # a union check would pass the gate and then fail task-side
         # after other partitions were already rewritten and committed
         for c in targets:
             for e in entries:
@@ -1666,7 +1695,7 @@ def update_rows(
     if entries:
         # type gate at the driver, BEFORE any partition rewrites: decode
         # one block row's target columns and refuse un-SET-table scalars
-        # and scrub on non-string columns here (an actor-side failure
+        # and scrub on non-string columns here (a task-side failure
         # would leave some partitions rewritten, some not)
         from .decode import BlockDecoder
 
@@ -1721,27 +1750,27 @@ def _rewrite_prologue(out_root: str, filter: list, op: str) -> tuple:
     return dnf, params, entries
 
 
-def _rewrite_rows(actor: type, out_root: str, dnf: list, params: dict,
+def _rewrite_rows(stage: type, out_root: str, dnf: list, params: dict,
                   entries: list[dict], concurrency, chaos_dir: str | None,
                   spec: dict | None = None, **ctor) -> dict:
     """Driver dispatch shared by delete_rows/update_rows: run the rewrite
-    actor over every committed partition, sum its counts into the
+    stage over every committed partition, sum its counts into the
     summary and append the root-level audit line to ``<kind>.log``
     (single-driver append, like the job record)."""
     summary = {"partitions_total": len(entries), "partitions_rewritten": 0,
-               **dict.fromkeys(actor.summed, 0)}
+               **dict.fromkeys(stage.summed, 0)}
     if not entries:
         return summary
     results = _map_partitions(
-        actor, entries, concurrency, out_root=out_root, params=params,
+        stage, entries, concurrency, out_root=out_root, params=params,
         filter=[[list(p) for p in conj] for conj in dnf], chaos_dir=chaos_dir, **ctor,
     )
     summary["partitions_rewritten"] = sum(1 for r in results if r["rewritten"])
-    for k in actor.summed:
+    for k in stage.summed:
         summary[k] = sum(r[k] for r in results)
     line = {"filter": [[_jsonable_predicate(p) for p in conj] for conj in dnf],
             **(spec or {}), **summary}
-    with open(Path(out_root) / f"{actor.kind}.log", "a") as f:
+    with open(Path(out_root) / f"{stage.kind}.log", "a") as f:
         f.write(json.dumps(line, separators=(",", ":")) + "\n")
     return summary
 
@@ -1760,7 +1789,7 @@ def _rewrite_rows(actor: type, out_root: str, dnf: list, params: dict,
 
 def _enricher_registry() -> dict:
     """name -> factory() -> fn(decoded_block: pa.Table, input_col) -> pa.Array.
-    Factories run once per ACTOR (stateful setup: stopword tables); the
+    Factories run once per stage (stateful setup: stopword tables); the
     returned fn is called once per block, fully vectorized."""
     from .rowhash import row_digests
     from .stages.text import (
@@ -1779,7 +1808,7 @@ def _enricher_registry() -> dict:
         )
 
     def _lang_id():
-        stage = LangId()  # stopword tables built once per actor
+        stage = LangId()  # stopword tables built once per stage
         return lambda t, c: stage(_with_ids(t, c))["lang_pred"]
 
     def _quality():
@@ -1830,7 +1859,7 @@ def _enricher_registry() -> dict:
 
 
 class PartitionEnricher(_PartitionStage):
-    """Actor-pool stage for enrich_many/enrich_job: one committed-
+    """Partition stage of enrich_many/enrich_job: one committed-
     partition manifest entry in -> the same partition with one or more
     new encoded columns appended to every block. The input column
     decodes ONCE per block no matter how many enrichers run — at scale
@@ -2241,11 +2270,11 @@ def check_export_job(out_root: str | os.PathLike, params: dict) -> None:
     os.replace(tmp, p)
 
 
-class PartitionExporter:
-    """Actor-pool stage: one committed block partition in -> one
-    published parquet of original rows out. Decode reuses the exact
-    decode_dataset semantics locally: zone/Bloom prune -> page-pruned
-    BlockDecoder -> exact DNF row filter -> projection.
+class PartitionExporter(_PartitionStage):
+    """Partition stage of run_export_job: one committed block partition
+    id in -> one published parquet of original rows out. Decode reuses
+    the exact decode_dataset semantics locally: zone/Bloom prune ->
+    page-pruned BlockDecoder -> exact DNF row filter -> projection.
 
     Memory bound: one partition's decoded rows live in the task at once
     (<= max_partition_bytes source bytes, 256 MiB at defaults) — the
@@ -2282,12 +2311,7 @@ class PartitionExporter:
         self.decode_cols = decode_cols  # None = all source columns
         self.ordered = ordered
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pylist(
-            [self._export(row["partition_id"]) for row in batch.to_pylist()]
-        )
-
-    def _export(self, pid: str) -> dict:
+    def _run(self, pid: str) -> dict:
         from .decode import filter_table_dnf, zone_may_match_any
 
         t0 = time.perf_counter()
@@ -2470,7 +2494,7 @@ def run_export_job(
     """Resumable distributed decode-export. Returns a summary dict.
 
     `chaos_dir` is the tests-only fault-injection hook (see
-    run_encode_job): first attempt per partition hard-exits its actor —
+    run_encode_job): first attempt per partition hard-exits its task —
     after the atomic publish on the flat path (retry must skip), after
     the key files but before the _done marker on the hive path (retry
     must re-publish idempotently).
@@ -2537,7 +2561,7 @@ def run_export_job(
                     f"(have: {sorted(have)})"
                 )
             # key-TYPE gate at the driver, BEFORE the record is written
-            # and any actor decodes a whole partition: decode one block
+            # and any task decodes a whole partition: decode one block
             # row's key columns and refuse float/nested keys here (the
             # in-task check stays as defense in depth)
             from .decode import BlockDecoder
@@ -2575,27 +2599,11 @@ def run_export_job(
         "out_root": str(out_root),
     }
     if pending:
-        if concurrency is None:
-            concurrency = (1, max(2, cluster_cpus() - 2))
-        results = (
-            ray.data.from_items([{"partition_id": p} for p in pending])
-            .map_batches(
-                PartitionExporter,
-                fn_constructor_kwargs={
-                    "blocks_root": blocks_root,
-                    "out_root": out_root,
-                    "columns": columns,
-                    "row_filter": filter,
-                    "ordered": ordered,
-                    "partition_by": partition_by,
-                    "chaos_dir": chaos_dir,
-                },
-                batch_format="pyarrow",
-                batch_size=1,
-                concurrency=concurrency,
-            )
-            .take_all()
-        )  # control-plane rows: one per partition, tiny
+        results = _map_partitions(
+            PartitionExporter, pending, concurrency, blocks_root=blocks_root,
+            out_root=out_root, columns=columns, row_filter=filter,
+            ordered=ordered, partition_by=partition_by, chaos_dir=chaos_dir,
+        )
         for r in results:
             if r["skipped"]:
                 summary["partitions_skipped"] += 1

@@ -95,3 +95,50 @@ def test_salted_partition_tolerates_null_keys(ray_session):
     got = out.to_pandas()
     assert len(got) == n
     assert got["repo"].isna().sum() == 2
+
+
+# ---------------------------------------------------------------------------
+# Partition-stage dispatch (rayenc.jobs._map_partitions)
+# ---------------------------------------------------------------------------
+
+
+def test_map_partitions_one_stage_per_worker_per_call(ray_session):
+    """Each task worker builds one stage per `_map_partitions` call and
+    reuses it for every partition of that call it runs; a later call
+    never reuses an earlier call's stage."""
+    import os
+
+    from rayenc.jobs import _map_partitions, _PartitionStage
+
+    class WhoRan(_PartitionStage):
+        def _run(self, item):
+            return {"item": item, "pid": os.getpid(), "stage": id(self)}
+
+    items = list(range(8))
+    calls = [_map_partitions(WhoRan, items, 2) for _ in range(2)]
+    stage_sets = []
+    for rows in calls:
+        assert sorted(r["item"] for r in rows) == items
+        stages = {(r["pid"], r["stage"]) for r in rows}
+        assert len(stages) == len({r["pid"] for r in rows})
+        stage_sets.append(stages)
+    assert not stage_sets[0] & stage_sets[1]
+
+
+def test_explicit_concurrency_clamped_to_partition_count(ray_session, corpus_parquet,
+                                                         tmp_path):
+    """A one-partition op with a cap of 2 must not launch Ray Data's
+    'operator only received 1 input(s)' warning: the cap is clamped."""
+    import warnings
+
+    from rayenc import delete_rows, run_encode_job
+
+    out = str(tmp_path / "job")
+    s = run_encode_job(corpus_parquet, out, block_rows=1000, concurrency=2)
+    assert s["partitions_total"] == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = delete_rows(out, [("lang", "==", "go")], concurrency=(1, 2))
+    assert d["partitions_total"] == 1 and d["rows_deleted"] > 0
+    msgs = [str(w.message) for w in caught]
+    assert not [m for m in msgs if "maximum number of concurrent tasks" in m], msgs
