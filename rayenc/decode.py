@@ -24,6 +24,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .blocks import decode_column
+from .dispatch import map_stage, slot_stage
 
 # (column, op, value) predicates; op in {"==", ">=", "<=", ">", "<",
 # "!=", "in", "prefix", "contains"} ("in" takes a list/tuple/set of
@@ -909,19 +910,11 @@ def filter_table_dnf(batch: pa.Table, dnf: list[list[Predicate]]) -> pa.Table:
     return batch.filter(pc.fill_null(m, False))
 
 
-def apply_row_filter(
-    ds: "ray.data.Dataset", predicates: list[Predicate]
-) -> "ray.data.Dataset":
-    """Exact row-level filter matching the prune predicates (flat
-    conjunction or DNF)."""
-    dnf = normalize_dnf(predicates)
-    return ds.map_batches(
-        lambda b: filter_table_dnf(b, dnf), batch_format="pyarrow"
-    )
-
-
 class BlockDecoder:
-    """map_batches callable: block rows in -> decoded source rows out.
+    """Decode stage: block rows in -> decoded source rows out.
+    `decode_dataset` runs it as Ray Data tasks through the shared stage
+    dispatch (one instance per worker per read); `take_rows`, the DML
+    stages and `verify` call it directly on block tables.
 
     With `filter` set, blocks whose predicate columns carry PAGE zone
     maps (stats="page" at encode) decode only the pages the predicates
@@ -929,7 +922,8 @@ class BlockDecoder:
     read of a multi-MB fsst@9 content block touches page bytes, not the
     whole blob (the reference's page-stats level,
     /root/reference/src/bin/js2pq/main.rs:18-26). The exact row filter
-    still runs downstream (pages are supersets)."""
+    still runs after it, in the same task under decode_dataset (pages
+    are supersets)."""
 
     def __init__(
         self,
@@ -1119,6 +1113,32 @@ class BlockDecoder:
         return pa.concat_tables(tables)
 
 
+# provenance columns of a with_provenance decode, in output order
+_PROVENANCE = (
+    "_block_id",
+    "_partition_id",
+    "_partition_seq",
+    "_block_seq",
+    "_row_in_block",
+    "_row_start",
+)
+
+
+def _decode_task(batch: pa.Table, stage_class: type, ctor_kwargs: dict,
+                 op_token: str, project: list[str] | None) -> pa.Table:
+    """Ray Data task body of decode_dataset: the read's BlockDecoder
+    (built once per worker per read), then the exact row filter (the
+    decoder's page pruning returns a superset) and the projection that
+    drops filter-only columns."""
+    dec = slot_stage(stage_class, ctor_kwargs, op_token)
+    out = dec(batch)
+    if dec.filter and out.num_columns:
+        out = filter_table_dnf(out, dec.filter)
+    if project is not None:
+        out = out.select([c for c in project if c in out.column_names])
+    return out
+
+
 def decode_dataset(
     blocks: "ray.data.Dataset",
     columns: list[str] | None = None,
@@ -1144,21 +1164,23 @@ def decode_dataset(
     `fill_missing` enables schema-evolution reads: a union of block
     tables written across pipeline versions (read_blocks([dir_v1,
     dir_v2])) null-fills columns a block predates, using the given
-    {column: arrow type} map (or schema) for the null arrays."""
+    {column: arrow type} map (or schema) for the null arrays.
+
+    The decode, the exact row filter and the projection run in one Ray
+    Data task per batch of blocks, on reused task workers (no actor
+    pool). `concurrency` caps the tasks in flight: an int as given, a
+    (min, max) pair its upper bound, None no cap (Ray Data sizes it)."""
     if filter:
         validate_predicates(blocks, filter)
         blocks = prune_blocks(blocks, filter)
-    if concurrency is None:
-        from .encode import default_pool_size
-
-        concurrency = (1, default_pool_size())
-    decode_cols = columns
+    decode_cols, project = columns, None
     if columns and filter:
         # filter columns must decode even when projected out of the
         # result — widen the decode set, drop the extras after filtering
         flat = [p for conj in normalize_dnf(filter) for p in conj]
         extra = [c for c, _, _ in flat if c not in columns]
         decode_cols = columns + sorted(set(extra))
+        project = list(columns) + (list(_PROVENANCE) if with_provenance else [])
     if decode_cols and blocks.schema() is not None:
         # block-level projection pushdown: only the requested columns'
         # blobs leave the block table (the prune-at-the-read rule applied
@@ -1187,36 +1209,21 @@ def decode_dataset(
         ]
         keep += [f"col_{c}" for c in decode_cols]
         blocks = blocks.select_columns([c for c in keep if c in names])
-    out = blocks.map_batches(
+    return map_stage(
+        blocks,
         BlockDecoder,
-        fn_constructor_kwargs={
+        {
             "columns": decode_cols,
             "with_provenance": with_provenance,
             "filter": filter,
             "fill_missing": fill_missing,
         },
-        batch_format="pyarrow",
+        concurrency=concurrency,
+        task=_decode_task,
+        task_kwargs={"project": project},
         batch_size=4,  # a few blocks per call; each expands to thousands of rows
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
-    if filter:
-        out = apply_row_filter(out, filter)
-        if decode_cols is not columns and columns:
-            prov = [
-                "_block_id",
-                "_partition_id",
-                "_partition_seq",
-                "_block_seq",
-                "_row_in_block",
-                "_row_start",
-            ]
-            want = list(columns) + (prov if with_provenance else [])
-            out = out.map_batches(
-                lambda t: t.select([c for c in want if c in t.column_names]),
-                batch_format="pyarrow",
-            )
-    return out
 
 
 def count_decoded_blocks(
@@ -1621,14 +1628,6 @@ def attach_global_row_numbers(
     dec = decode_dataset(
         blocks, columns=columns, with_provenance=True, concurrency=concurrency
     )
-    drop = [
-        "_block_id",
-        "_partition_id",
-        "_partition_seq",
-        "_block_seq",
-        "_row_in_block",
-        "_row_start",
-    ]
 
     def stamp_rs(b: pa.Table) -> pa.Table:
         bs = _ray.get(ref)
@@ -1639,7 +1638,7 @@ def attach_global_row_numbers(
         for pv in np.unique(pseq):
             pbase[pseq == pv] = bs[int(pv)]
         rn = pbase + rstart + rib + base
-        b = b.drop_columns([c for c in drop if c in b.column_names])
+        b = b.drop_columns([c for c in _PROVENANCE if c in b.column_names])
         return b.append_column(rn_col, pa.array(rn, type=pa.int64()))
 
     return dec.map_batches(stamp_rs, batch_format="pyarrow")
@@ -1670,15 +1669,7 @@ def decode_ordered(
         filter=filter,
     )
     ordered = dec.sort(["_partition_seq", "_block_seq", "_row_in_block"])
-    drop = [
-        "_block_id",
-        "_partition_id",
-        "_partition_seq",
-        "_block_seq",
-        "_row_in_block",
-        "_row_start",
-    ]
     return ordered.map_batches(
-        lambda t: t.drop_columns([c for c in drop if c in t.column_names]),
+        lambda t: t.drop_columns([c for c in _PROVENANCE if c in t.column_names]),
         batch_format="pyarrow",
     )

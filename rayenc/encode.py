@@ -216,7 +216,7 @@ def column_kll(arr: pa.Array | pa.ChunkedArray, k: int = 128) -> str | None:
 
 def cluster_cpus(default: int = 8) -> int:
     """Cluster CPU count with a safe fallback — the one shared probe
-    behind every pool-size default (encode pool, job actor pools)."""
+    behind every pool-size default (encode pool, job stage task caps)."""
     try:
         import ray
 
@@ -657,10 +657,11 @@ def encode_dataset(
 
     concurrency=None autoscales (1, ~3/4 of cluster CPUs). The cap leaves
     CPUs for the read stage (a full-width pool starves it — measured 2.4x
-    slowdown); min=1 keeps chained actor stages (encode -> decode in one
-    lazy pipeline) from deadlocking over fixed reservations. Benchmarks
-    that run one stage at a time pass an explicit fixed (n, n) pool to
-    skip the autoscaler ramp.
+    slowdown); min=1 keeps the pool from reserving CPUs it cannot use yet.
+    A decode chained after it in one lazy pipeline runs as tasks, which
+    hold no CPU while idle, so the pool's cap is what leaves the read and
+    the decode a CPU. Benchmarks that run one stage at a time pass an
+    explicit fixed (n, n) pool to skip the autoscaler ramp.
 
     preselect=True runs the codec selector ONCE on the driver over the
     first block-sized sample and ships the choices as forced codecs —
@@ -779,8 +780,8 @@ def compact_blocks(
     concurrency: int | tuple[int, int] | None = None,
 ) -> "ray.data.Dataset":
     """Re-block an encoded block table: decode -> re-encode at the target
-    block size, streaming end to end (decode and encode actor pools
-    pipeline through the object store; nothing materializes). The
+    block size, streaming end to end (decode tasks and the encode actor
+    pool pipeline through the object store; nothing materializes). The
     maintenance op for long-running ingestion, where many small commits
     leave under-sized blocks that waste header overhead and zstd window
     reach — compaction at 8k+ rows/block recovers both."""

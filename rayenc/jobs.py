@@ -39,6 +39,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from .dispatch import map_stage, task_cap
 from .encode import BlockEncoder, cluster_cpus
 from .manifest import Manifest
 
@@ -456,52 +457,25 @@ def _job_entries(out_root: str) -> tuple[Manifest, dict, list[dict]]:
     return manifest, rec.get("params", {}), entries
 
 
-# The stage of the operation this worker process last served:
-# op token -> stage object. One slot, so a new operation's token evicts
-# the previous operation's stage.
-_STAGE_SLOT: dict = {}
-
-
-def _run_stage(batch: pa.Table, stage_class: type, ctor_kwargs: dict,
-               op_token: str) -> pa.Table:
-    """Ray Data task body of `_map_partitions`. A worker builds the
-    operation's stage on the first partition it receives and reuses it
-    for every later partition of that operation it gets, so the stage's
-    setup and its encoder's codec cache carry across partitions."""
-    stage = _STAGE_SLOT.get(op_token)
-    if stage is None:
-        # built before the old stage is dropped, so a new stage never
-        # reuses the previous operation's object id
-        stage = stage_class(**ctor_kwargs)
-        _STAGE_SLOT.clear()
-        _STAGE_SLOT[op_token] = stage
-    return stage(batch)
-
-
 def _map_partitions(stage_class: type, items: list, concurrency, **ctor) -> list[dict]:
     """Run a `_PartitionStage` over `items` (partition descriptors,
-    manifest entries or partition ids), one partition per Ray Data task.
-    Task workers outlive the call, so later operations find rayenc
-    already imported. At most `concurrency` partitions run at once (a
-    tuple's upper bound); the default leaves two CPUs to the rest of the
-    cluster, and the cap never exceeds the partition count. Items ride as
-    JSON strings: their nested per-column/lineage dicts vary in shape
-    across partitions (post-delete entries carry keys fresh ones lack),
-    which a columnar from_items block can't represent uniformly."""
-    if concurrency is None:
-        concurrency = max(2, cluster_cpus() - 2)
-    elif isinstance(concurrency, tuple):
-        concurrency = concurrency[1]
+    manifest entries or partition ids), one partition per Ray Data task
+    through the shared stage dispatch (`rayenc.dispatch`). At most
+    `concurrency` partitions run at once (a tuple's upper bound); the
+    default leaves two CPUs to the rest of the cluster, and the cap never
+    exceeds the partition count. Items ride as JSON strings: their nested
+    per-column/lineage dicts vary in shape across partitions (post-delete
+    entries carry keys fresh ones lack), which a columnar from_items
+    block can't represent uniformly."""
+    cap = max(2, cluster_cpus() - 2) if concurrency is None else task_cap(concurrency)
     return (
-        ray.data.from_items([{"item": json.dumps(x)} for x in items],
-                            override_num_blocks=len(items))
-        .map_batches(
-            _run_stage,
-            fn_kwargs={"stage_class": stage_class, "ctor_kwargs": ctor,
-                       "op_token": secrets.token_hex(16)},
-            batch_format="pyarrow",
+        map_stage(
+            ray.data.from_items([{"item": json.dumps(x)} for x in items],
+                                override_num_blocks=len(items)),
+            stage_class,
+            ctor,
+            concurrency=min(cap, len(items)),
             batch_size=1,
-            concurrency=min(int(concurrency), len(items)),
             zero_copy_batch=True,
         )
         .take_all()  # control-plane rows: one per partition, tiny

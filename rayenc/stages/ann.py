@@ -23,6 +23,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..dispatch import map_stage
+
 
 def _batch_matrix_valid(
     batch: pa.Table, vec_col: str
@@ -205,7 +207,7 @@ def knn_brute(
             scores = self.q @ bm.T  # (n_q, n_valid)
             return _emit_topk(ids[valid], scores, k, bm=bm, q=self.q)
 
-    cands = ds.map_batches(TopK, batch_format="pyarrow", concurrency=concurrency)
+    cands = map_stage(ds, TopK, concurrency=concurrency)
     return _topk_reduce(cands, k)
 
 
@@ -331,7 +333,7 @@ def knn_ivf(
                 ids[valid], scores, k, finite_only=True, bm=bm, q=self.q
             )
 
-    cands = ds.map_batches(IvfTopK, batch_format="pyarrow", concurrency=concurrency)
+    cands = map_stage(ds, IvfTopK, concurrency=concurrency)
     return _topk_reduce(cands, k)
 
 
@@ -401,5 +403,5 @@ def knn_lsh(
             scores = np.where(allowed, scores, -np.inf)
             return _emit_topk(ids, scores, k, finite_only=True, bm=bm, q=self.q)
 
-    cands = ds.map_batches(BucketTopK, batch_format="pyarrow", concurrency=concurrency)
+    cands = map_stage(ds, BucketTopK, concurrency=concurrency)
     return _topk_reduce(cands, k)

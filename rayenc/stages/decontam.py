@@ -7,7 +7,7 @@ of documents), so its k-gram hash set is built once on the driver,
 sorted, and broadcast with ``ray.put``; every corpus task membership-
 tests its windows with one vectorized ``searchsorted`` against the
 shared sorted array (read-only, zero-copy from the object store). No
-shuffle anywhere — the corpus streams through a map_batches actor pool.
+shuffle anywhere — the corpus streams through map_batches tasks.
 Window hashing reuses the substr.py rolling-hash machinery, so a
 benchmark span matches regardless of which document carries it. Both
 sides hash NORMALIZED tokens (utf8_lower + punctuation stripped — the
@@ -26,6 +26,7 @@ import ray
 
 import pyarrow.compute as pc
 
+from ..dispatch import map_stage
 from .substr import _token_hashes, _window_hashes, flatten_nonempty
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,4 +95,4 @@ def flag_contaminated(
                 "contaminated_ngrams", pa.array(hits, type=pa.int64())
             ).append_column("contaminated", pa.array(hits > 0))
 
-    return ds.map_batches(Flag, batch_format="pyarrow", concurrency=concurrency)
+    return map_stage(ds, Flag, concurrency=concurrency)
