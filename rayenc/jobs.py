@@ -8,12 +8,16 @@ table atomically, commit a manifest entry per partition.
 
 The work queue is a small Ray Dataset of partition descriptors (a
 control-plane table, a few hundred bytes per row); the heavy data is
-read inside the encode task with pyarrow, column-pruned, row-group at
-a time, so one partition never materializes more than one row-group +
-one encoded block. This is the deliberate exception documented in the
-survey: resumability requires partition identity, which Ray's opaque
-batch splitting does not expose — everything else stays in the pure
-streaming path (rayenc.encode.encode_dataset).
+read inside the encode task with pyarrow, column-pruned, one row-group
+at a time. A task holds one decoded row-group plus all of its
+partition's encoded blocks until the publish (so its memory scales
+with `max_partition_bytes`, compressed); `cluster_by` also holds the
+whole decoded partition for the sort. This is the deliberate exception
+documented in the survey: resumability requires partition identity,
+which Ray's opaque batch splitting does not expose — everything else
+stays in the pure streaming path (rayenc.encode.encode_dataset).
+`encode_dataset_ordered` runs the same plan and read+encode core
+(`_encode_partition`) with no manifest.
 
 Skew handling (north rule): partitions are bounded by row-group ranges
 (`max_partition_bytes`), so a giant input file becomes many partitions;
@@ -52,8 +56,9 @@ CLUSTER_MODES = ("lex", "zorder")
 def validate_cluster_mode(mode: str, cluster_by: list[str] | None) -> str:
     """`lex` = lexicographic multi-key sort (tight zones on the first
     key); `zorder` = Morton-curve interleave (bounded per-block range on
-    EVERY cluster key — see rayenc.zorder). Validated here once so the
-    driver (run_encode_job) and the stage (PartitionEncoder) agree."""
+    EVERY cluster key — see rayenc.zorder). run_encode_job validates it
+    once, before the job record is written; the partition stages read
+    the validated value from the job params."""
     if mode not in CLUSTER_MODES:
         raise ValueError(f"cluster_mode must be one of {CLUSTER_MODES}, got {mode!r}")
     if mode == "zorder" and (not cluster_by or len(cluster_by) < 2):
@@ -137,7 +142,12 @@ def plan_partitions(
     — the prune-at-the-read rule applied to the job planner, mirroring
     the reference's stats-granularity axis at its chunk level. Partition
     ids stay a pure function of (path, rg range), so a filtered plan's
-    partitions match the unfiltered plan's ids for the ranges kept."""
+    partitions match the unfiltered plan's ids for the ranges kept.
+
+    `require_cols` (the job's `columns` projection and `cluster_by`
+    keys) must be in every file's schema: the row-group read silently
+    drops an unknown name, so a missing one would only fail inside a
+    task, after the job record and earlier partitions had committed."""
     from .decode import zone_may_match
 
     paths = resolve_input_paths(input_paths)
@@ -160,11 +170,9 @@ def plan_partitions(
             )
         missing = [c for c in (require_cols or []) if c not in col_types]
         if missing:
-            # cluster_by columns ride the same per-file scan (no second
-            # metadata pass over the input list)
             raise ValueError(
-                f"cluster_by column(s) {missing} not in the schema of "
-                f"{path}; all input files must carry them"
+                f"columns/cluster_by column(s) {missing} not in the schema "
+                f"of {path}; all input files must carry them"
             )
         n_rg = md.num_row_groups
         start = 0
@@ -211,9 +219,8 @@ def iter_blocks(table: pa.Table, block_rows: int, max_block_bytes: int):
     rows still closes its block at the cap instead of hiding behind
     an average (the reference's one-batch-per-file simplification,
     /root/reference/src/bin/js2pq/main.rs:119, is exactly the failure
-    mode this avoids). Module-level so both encoder classes share one
-    copy (round-4 self-review: OrderedStreamEncoder used to borrow the
-    method unbound with a foreign self)."""
+    mode this avoids). Called only through `_encode_blocks`, the one
+    blocking loop of the encode, ordered-stream and compaction stages."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -297,14 +304,16 @@ def iter_blocks(table: pa.Table, block_rows: int, max_block_bytes: int):
 
 
 def _encoder_from_params(params: dict, **overrides) -> BlockEncoder:
-    """ONE params->BlockEncoder mapping for every rewrite stage
-    (compaction, delete, update, enrich): each job-record codec/metadata
-    knob must survive an in-place rewrite (a missed knob silently
-    re-encodes with a default — e.g. KLL sketches stripped, an archive
-    job re-encoded at the default tier). `overrides` pins the few
-    per-stage differences (enrich: hash_column=None, forced_codecs=None)."""
+    """ONE params->BlockEncoder mapping for every job-path stage (the
+    encode and ordered-stream stages, compaction, delete, update,
+    enrich): each job-record codec/metadata knob must reach every writer
+    (a missed knob silently re-encodes with a default — e.g. KLL sketches
+    stripped, an archive job re-encoded at the default tier). `columns`
+    stays None: the encode read and the rewrite decodes already honor the
+    job's projection, in its order. `overrides` pins the few per-stage
+    differences (enrich: hash_column=None, forced_codecs=None)."""
     kwargs = dict(
-        columns=None,  # the decoded table already honors the job's projection
+        columns=None,
         level=int(params.get("level", 3)),
         hash_column=params.get("hash_column"),
         stats=params.get("stats", "block"),
@@ -438,6 +447,48 @@ def _encode_blocks(core: BlockEncoder, tables, block_rows: int,
     return pa.concat_tables(out) if out else None
 
 
+def _encode_partition(core: BlockEncoder, part: dict, params: dict) -> pa.Table | None:
+    """The one read+encode core of the partition-plan front doors
+    (run_encode_job, encode_dataset_ordered): read one planned partition
+    row-group at a time, apply the job's row filter, cluster sort and
+    `columns` projection, then block and encode it (`_encode_blocks`).
+    None when no row survives."""
+    from .decode import filter_table
+
+    columns, row_filter, cluster_by = params["columns"], params["filter"], params["cluster_by"]
+    # filter and cluster columns must be READ even when projected out of
+    # the encode set (round-3 review: a filter on a pruned column
+    # KeyError'd inside the actor); widen the read, filter and sort, then
+    # drop the extras so the encoded schema honors `columns`
+    read_cols = columns
+    if columns:
+        extra = {c for c, _, _ in row_filter or []} | set(cluster_by or [])
+        read_cols = columns + sorted(extra - set(columns))
+    pf = pq.ParquetFile(part["path"])
+
+    def rg_tables():
+        for rg in range(part["rg_start"], part["rg_end"] + 1):
+            t = pf.read_row_group(rg, columns=read_cols)
+            yield filter_table(t, row_filter) if row_filter else t
+
+    tables = rg_tables()
+    if cluster_by:
+        # cluster_by sorts the whole partition before blocking, so
+        # within-partition zones become tight and disjoint on the key
+        whole = pa.concat_tables(tables)
+        if params["cluster_mode"] == "zorder":
+            from .zorder import zorder_sort_indices
+
+            whole = whole.take(pa.array(zorder_sort_indices(whole, cluster_by)))
+        else:
+            whole = whole.sort_by([(c, "ascending") for c in cluster_by])
+        tables = [whole]
+    if read_cols != columns:
+        tables = (t.select(columns) for t in tables)
+    return _encode_blocks(core, tables, params["block_rows"], params["max_block_bytes"],
+                          part["partition_id"], int(part.get("partition_seq", 0)))
+
+
 def _row_starts(n_rows) -> pa.Array:
     """Exclusive cumsum of per-block row counts: each block's row_start."""
     nr = n_rows.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -457,33 +508,37 @@ def _job_entries(out_root: str) -> tuple[Manifest, dict, list[dict]]:
     return manifest, rec.get("params", {}), entries
 
 
-def _map_partitions(stage_class: type, items: list, concurrency, **ctor) -> list[dict]:
-    """Run a `_PartitionStage` over `items` (partition descriptors,
-    manifest entries or partition ids), one partition per Ray Data task
-    through the shared stage dispatch (`rayenc.dispatch`). At most
-    `concurrency` partitions run at once (a tuple's upper bound); the
-    default leaves two CPUs to the rest of the cluster, and the cap never
-    exceeds the partition count. Items ride as JSON strings: their nested
-    per-column/lineage dicts vary in shape across partitions (post-delete
-    entries carry keys fresh ones lack), which a columnar from_items
-    block can't represent uniformly."""
+def _partition_stage_ds(stage_class: type, items: list, concurrency,
+                        **ctor) -> "ray.data.Dataset":
+    """The lazy Dataset of a `_PartitionStage` over `items` (partition
+    descriptors, manifest entries or partition ids), one partition per
+    Ray Data task through the shared stage dispatch (`rayenc.dispatch`).
+    At most `concurrency` partitions run at once (a tuple's upper bound);
+    the default leaves two CPUs to the rest of the cluster, and the cap
+    never exceeds the partition count. Items ride as JSON strings: their
+    nested per-column/lineage dicts vary in shape across partitions
+    (post-delete entries carry keys fresh ones lack), which a columnar
+    from_items block can't represent uniformly."""
     cap = max(2, cluster_cpus() - 2) if concurrency is None else task_cap(concurrency)
-    return (
-        map_stage(
-            ray.data.from_items([{"item": json.dumps(x)} for x in items],
-                                override_num_blocks=len(items)),
-            stage_class,
-            ctor,
-            concurrency=min(cap, len(items)),
-            batch_size=1,
-            zero_copy_batch=True,
-        )
-        .take_all()  # control-plane rows: one per partition, tiny
+    return map_stage(
+        ray.data.from_items([{"item": json.dumps(x)} for x in items],
+                            override_num_blocks=max(1, len(items))),
+        stage_class,
+        ctor,
+        concurrency=max(1, min(cap, len(items))),
+        batch_size=1,
+        zero_copy_batch=True,
     )
 
 
+def _map_partitions(stage_class: type, items: list, concurrency, **ctor) -> list[dict]:
+    """Run `_partition_stage_ds` to its result rows (control-plane rows:
+    one per partition, tiny)."""
+    return _partition_stage_ds(stage_class, items, concurrency, **ctor).take_all()
+
+
 class _PartitionStage:
-    """Base of the stages `_map_partitions` drives: `_run` turns one
+    """Base of the stages `_partition_stage_ds` drives: `_run` turns one
     partition's item into its result row."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -494,121 +549,21 @@ class _PartitionStage:
 
 class PartitionEncoder(_PartitionStage):
     """Partition stage of run_encode_job: one partition descriptor in ->
-    one committed partition out (blocks parquet + manifest entry)."""
+    one committed partition out (blocks parquet + manifest entry).
+    `params` is the job record's `job_params` dict."""
 
-    def __init__(
-        self,
-        out_root: str,
-        columns: list[str] | None,
-        level: int,
-        block_rows: int,
-        max_block_bytes: int,
-        hash_column: str | None,
-        row_filter: list | None = None,
-        stats: str = "block",
-        page_rows: int | None = None,
-        decode_weight: float = 0.0,
-        enc_cap: float | None = None,
-        forced_codecs: dict | None = None,
-        hll: bool = False,
-        hll_b: int = 10,
-        archive: bool = False,
-        cluster_by: list[str] | None = None,
-        cluster_mode: str = "lex",
-        kll: bool = False,
-        kll_k: int = 128,
-        ngram: bool = False,
-        ngram_n: int = 3,
-        chaos_dir: str | None = None,
-    ):
-        self.out_root = Path(out_root)
+    def __init__(self, out_root: str, params: dict, chaos_dir: str | None = None):
+        self.params = params
         self.chaos_dir = chaos_dir
-        self.blocks_dir = self.out_root / "blocks"
+        self.blocks_dir = Path(out_root) / "blocks"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
         self.manifest = Manifest(out_root)
-        self.core = BlockEncoder(
-            columns=columns,
-            level=level,
-            hash_column=hash_column,
-            stats=stats,
-            page_rows=page_rows,
-            decode_weight=decode_weight,
-            enc_cap=enc_cap,
-            forced_codecs=forced_codecs,
-            hll=hll,
-            hll_b=hll_b,
-            archive=archive,
-            kll=kll,
-            kll_k=kll_k,
-            ngram=ngram,
-            ngram_n=ngram_n,
-        )
-        self.columns = columns
-        self.block_rows = block_rows
-        self.max_block_bytes = max_block_bytes
-        self.row_filter = row_filter
-        self.cluster_by = list(cluster_by) if cluster_by else None
-        self.cluster_mode = validate_cluster_mode(cluster_mode, self.cluster_by)
+        self.core = _encoder_from_params(params)
 
     def _run(self, part: dict) -> dict:
         t0 = time.perf_counter()
         pid = part["partition_id"]
-        pf = pq.ParquetFile(part["path"])
-        # filter columns must be READ even when projected out of the
-        # encode set (round-3 review: a filter on a pruned column
-        # KeyError'd inside the actor); widen the read, filter, then
-        # drop the extras so the encoded schema honors `columns`
-        read_cols = self.columns
-        if self.columns:
-            extra = [c for c, _, _ in (self.row_filter or []) if c not in self.columns]
-            extra += [c for c in (self.cluster_by or []) if c not in self.columns]
-            if extra:
-                read_cols = self.columns + sorted(set(extra))
-
-        def _rg_tables():
-            """Row-group tables, filtered and projected. cluster_by
-            concatenates the partition and SORTS it before blocking —
-            within-partition zones become tight and disjoint on the
-            cluster key, so range scans over an unsorted source prune at
-            block granularity. Memory: the whole partition's rows live in
-            the task at once (<= max_partition_bytes source bytes, the
-            same per-task ceiling PartitionExporter works to) instead of
-            one row-group; that is the price of the layout choice."""
-            for rg in range(part["rg_start"], part["rg_end"] + 1):
-                rg_table = pf.read_row_group(rg, columns=read_cols)
-                if self.row_filter:
-                    from .decode import filter_table
-
-                    rg_table = filter_table(rg_table, self.row_filter)
-                if read_cols is not self.columns and self.columns:
-                    rg_table = rg_table.select(self.columns + sorted(
-                        {c for c in (self.cluster_by or []) if c not in self.columns}
-                    ))
-                yield rg_table
-            # NOTE: when columns is set and cluster_by names a projected-out
-            # column, it is kept through the sort and dropped below.
-
-        if self.cluster_by:
-            whole = pa.concat_tables(_rg_tables())
-            missing = [c for c in self.cluster_by if c not in whole.column_names]
-            if missing:
-                raise ValueError(
-                    f"cluster_by column(s) {missing} not in the input schema "
-                    f"of {part['path']}"
-                )
-            if self.cluster_mode == "zorder":
-                from .zorder import zorder_sort_indices
-
-                whole = whole.take(pa.array(zorder_sort_indices(whole, self.cluster_by)))
-            else:
-                whole = whole.sort_by([(c, "ascending") for c in self.cluster_by])
-            if self.columns:
-                whole = whole.select(self.columns)
-            tables = [whole]
-        else:
-            tables = _rg_tables()
-        blocks = _encode_blocks(self.core, tables, self.block_rows, self.max_block_bytes,
-                                pid, int(part.get("partition_seq", 0)))
+        blocks = _encode_partition(self.core, part, self.params)
         entry = _publish(
             self.manifest,
             {
@@ -626,9 +581,9 @@ class PartitionEncoder(_PartitionStage):
         return {**{k: entry[k] for k in keys}, "skipped": False}
 
 
-class OrderedStreamEncoder:
-    """Actor-pool stage for the ORDERED streaming path: partition
-    descriptor rows in -> encoded block rows out (no sink, no manifest —
+class OrderedStreamEncoder(_PartitionStage):
+    """Partition stage of the ORDERED streaming path: partition
+    descriptor in -> its encoded block rows out (no sink, no manifest —
     pure streaming). Because each block carries its plan ordinal
     (partition_seq, block_seq), the output has a reconstructible total
     order even though Ray schedules partitions arbitrarily — closing the
@@ -636,71 +591,28 @@ class OrderedStreamEncoder:
     (the reference preserves order implicitly on its single-threaded
     path, /root/reference/src/vec_pq_reader.rs:828-831)."""
 
-    def __init__(
-        self,
-        columns: list[str] | None,
-        level: int,
-        block_rows: int,
-        max_block_bytes: int,
-        hash_column: str | None,
-        stats: str = "block",
-        page_rows: int | None = None,
-        decode_weight: float = 0.0,
-        enc_cap: float | None = None,
-        forced_codecs: dict | None = None,
-    ):
-        self.core = BlockEncoder(
-            columns=columns,
-            level=level,
-            hash_column=hash_column,
-            stats=stats,
-            page_rows=page_rows,
-            decode_weight=decode_weight,
-            enc_cap=enc_cap,
-            forced_codecs=forced_codecs,
-        )
-        self.columns = columns
-        self.block_rows = block_rows
-        self.max_block_bytes = max_block_bytes
+    def __init__(self, params: dict):
+        self.params = params
+        self.core = _encoder_from_params(params)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out: list[pa.Table] = []
-        last_table: pa.Table | None = None
-        for part in batch.to_pylist():
-            pf = pq.ParquetFile(part["path"])
-            seq = 0
-            row_off = 0
-            for rg in range(part["rg_start"], part["rg_end"] + 1):
-                rg_table = pf.read_row_group(rg, columns=self.columns)
-                last_table = rg_table
-                for block in iter_blocks(
-                    rg_table, self.block_rows, self.max_block_bytes
-                ):
-                    out.append(
-                        self.core.encode_table(
-                            block,
-                            block_seq=seq,
-                            partition_id=part["partition_id"],
-                            partition_seq=int(part["partition_seq"]),
-                            row_start=row_off,
-                        )
-                    )
-                    row_off += block.num_rows
-                    seq += 1
-        if not out:
-            # zero-row partitions (empty shards from distributed writers):
-            # return a 0-ROW table with the block schema instead of letting
-            # concat_tables([]) kill the actor (same class of bug as the
-            # round-1 BlockDecoder empty-batch fix)
-            if last_table is None:
-                return pa.table({})
-            # row_start=0 keeps the empty block's schema identical to the
-            # non-empty ones (a missing column on empty outputs is the
-            # exact schema-degeneration flake class fixed in round 3)
-            return self.core.encode_table(
-                last_table.slice(0, 0), row_start=0
-            ).slice(0, 0)
-        return pa.concat_tables(out)
+        return pa.concat_tables(
+            [self._run(json.loads(r["item"])) for r in batch.to_pylist()]
+        )
+
+    def _run(self, part: dict) -> pa.Table:
+        blocks = _encode_partition(self.core, part, self.params)
+        if blocks is not None:
+            return blocks
+        # zero-row partitions (empty shards from distributed writers):
+        # a 0-ROW table with the block schema, not an empty batch — a
+        # missing column on empty outputs is the schema-degeneration
+        # flake class fixed in round 3; row_start=0 keeps the schema
+        # identical to the non-empty blocks'
+        empty = pq.read_schema(part["path"]).empty_table()
+        if self.params["columns"]:
+            empty = empty.select(self.params["columns"])
+        return self.core.encode_table(empty, row_start=0).slice(0, 0)
 
 
 def encode_dataset_ordered(
@@ -719,31 +631,18 @@ def encode_dataset_ordered(
     forced_codecs: dict | None = None,
 ) -> "ray.data.Dataset":
     """Streaming encode with TOTAL ORDER: plan partitions from parquet
-    metadata (deterministic ordinals), fan the descriptor table out over
-    an actor pool that reads + encodes its own row-groups. Use
-    decode_ordered / attach_global_row_numbers on the result."""
-    if concurrency is None:
-        concurrency = (1, max(2, cluster_cpus() - 2))
-    parts = plan_partitions(input_paths, max_partition_bytes)
-    ds = ray.data.from_items(parts)
-    return ds.map_batches(
-        OrderedStreamEncoder,
-        fn_constructor_kwargs={
-            "columns": columns,
-            "level": level,
-            "block_rows": block_rows,
-            "max_block_bytes": max_block_bytes,
-            "hash_column": hash_column,
-            "stats": stats,
-            "page_rows": page_rows,
-            "decode_weight": decode_weight,
-            "enc_cap": enc_cap,
-            "forced_codecs": forced_codecs,
-        },
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=concurrency,
+    metadata (deterministic ordinals), then read + encode each one in a
+    Ray Data task through the same core as run_encode_job
+    (`_encode_partition`), with no manifest. The result is lazy; use
+    decode_ordered / attach_global_row_numbers on it once materialized."""
+    params = job_params(
+        columns=columns, level=level, block_rows=block_rows,
+        max_block_bytes=max_block_bytes, max_partition_bytes=max_partition_bytes,
+        hash_column=hash_column, stats=stats, page_rows=page_rows,
+        decode_weight=decode_weight, enc_cap=enc_cap, forced_codecs=forced_codecs,
     )
+    parts = plan_partitions(input_paths, max_partition_bytes, require_cols=columns)
+    return _partition_stage_ds(OrderedStreamEncoder, parts, concurrency, params=params)
 
 
 def _jsonable_predicate(p) -> list:
@@ -937,41 +836,22 @@ def run_encode_job(
         validate_predicate_shapes(filter, schema_names, "input schema")
     resolved = resolve_input_paths(input_paths)
     # plan BEFORE the job-record gate: planning validates every file's
-    # schema (filter + cluster_by columns), and a validation failure must
+    # schema (filter, columns and cluster_by), and a validation failure must
     # not have rewritten the record first — an append run that updated
     # the recorded inputs and then raised would wedge the retry (the
     # shrunk list is no longer prefix-growth)
-    parts = plan_partitions(
-        resolved, max_partition_bytes, filter=filter, require_cols=cluster_by
+    parts = plan_partitions(resolved, max_partition_bytes, filter=filter,
+                            require_cols=(columns or []) + (cluster_by or []))
+    params = job_params(
+        columns=columns, level=level, block_rows=block_rows,
+        max_block_bytes=max_block_bytes, max_partition_bytes=max_partition_bytes,
+        hash_column=hash_column, filter=filter, stats=stats, page_rows=page_rows,
+        decode_weight=decode_weight, enc_cap=enc_cap, forced_codecs=forced_codecs,
+        inputs=resolved, hll=hll, hll_b=hll_b, archive=archive, cluster_by=cluster_by,
+        cluster_mode=cluster_mode, kll=kll, kll_k=kll_k, ngram=ngram, ngram_n=ngram_n,
     )
     manifest = Manifest(out_root)
-    manifest.check_job(
-        job_params(
-            columns=columns,
-            level=level,
-            block_rows=block_rows,
-            max_block_bytes=max_block_bytes,
-            max_partition_bytes=max_partition_bytes,
-            hash_column=hash_column,
-            filter=filter,
-            stats=stats,
-            page_rows=page_rows,
-            decode_weight=decode_weight,
-            enc_cap=enc_cap,
-            forced_codecs=forced_codecs,
-            inputs=resolved,
-            hll=hll,
-            hll_b=hll_b,
-            archive=archive,
-            cluster_by=cluster_by,
-            cluster_mode=cluster_mode,
-            kll=kll,
-            kll_k=kll_k,
-            ngram=ngram,
-            ngram_n=ngram_n,
-        ),
-        allow_input_growth=append,
-    )
+    manifest.check_job(params, allow_input_growth=append)
     committed = manifest.committed_ids()
     pending = [p for p in parts if p["partition_id"] not in committed]
     summary = {
@@ -983,33 +863,8 @@ def run_encode_job(
         "encoded_bytes": 0,
     }
     if pending:
-        results = _map_partitions(
-            PartitionEncoder,
-            pending,
-            concurrency,
-            out_root=out_root,
-            columns=columns,
-            level=level,
-            block_rows=block_rows,
-            max_block_bytes=max_block_bytes,
-            hash_column=hash_column,
-            row_filter=filter,
-            stats=stats,
-            page_rows=page_rows,
-            decode_weight=decode_weight,
-            enc_cap=enc_cap,
-            forced_codecs=forced_codecs,
-            hll=hll,
-            hll_b=hll_b,
-            archive=archive,
-            cluster_by=cluster_by,
-            cluster_mode=cluster_mode,
-            kll=kll,
-            kll_k=kll_k,
-            ngram=ngram,
-            ngram_n=ngram_n,
-            chaos_dir=chaos_dir,
-        )
+        results = _map_partitions(PartitionEncoder, pending, concurrency,
+                                  out_root=out_root, params=params, chaos_dir=chaos_dir)
         summary["partitions_encoded"] = len(results)
         summary["rows"] = sum(r["rows"] for r in results)
         summary["source_bytes"] = sum(r["source_bytes"] for r in results)

@@ -70,10 +70,11 @@ def test_explicit_concurrency_clamped_to_partition_count(ray_session, corpus_par
 
 
 def test_decode_starts_no_actor(ray_session, corpus_parquet, tmp_path):
-    """A full and a filtered read of a job dir start no actor: the
-    decoder runs as tasks. The first read only warms Ray Data's own
-    actors (stats, autoscaling requester)."""
-    from rayenc import decode_dataset, run_encode_job
+    """A full and a filtered read of a job dir, and an ordered encode,
+    start no actor: the decoder and the ordered encoder run as tasks.
+    The first read only warms Ray Data's own actors (stats, autoscaling
+    requester)."""
+    from rayenc import decode_dataset, encode_dataset_ordered, run_encode_job
     from rayenc.encode import read_blocks
 
     out = str(tmp_path / "job")
@@ -87,6 +88,8 @@ def test_decode_starts_no_actor(ray_session, corpus_parquet, tmp_path):
     assert full.count() == 3000
     assert 0 < some.count() < 3000
     assert some.schema().names == ["repo", "path"]
+    ordered = encode_dataset_ordered(corpus_parquet, block_rows=500, concurrency=2)
+    assert ordered.sum("n_rows") == 3000
     assert _actor_ids() == before
 
 

@@ -149,3 +149,50 @@ def test_take_rows_empty_table_and_bad_column(ray_session, corpus_parquet):
     # empty block table: typed-empty result, not IndexError
     none = blocks.filter(lambda r: False).materialize()
     assert take_rows(none, []).num_rows == 0
+
+
+def test_ordered_and_job_encode_write_the_same_blocks(ray_session, corpus_parquet,
+                                                      tmp_path):
+    """encode_dataset_ordered and run_encode_job share one read+encode
+    core: with the same knobs they write the same blocks per plan
+    ordinal. Every column's codec is forced, so no per-worker selector
+    state can differ between the two runs."""
+    import json
+
+    from rayenc.jobs import encode_dataset_ordered, run_encode_job
+
+    knobs = dict(
+        block_rows=700,  # not aligned to the 500-row row-groups
+        max_partition_bytes=1 << 20,
+        hash_column="content",
+        stats="page",
+        page_rows=128,
+        forced_codecs={"repo": "dict", "path": "fc", "commit": "rle",
+                       "lang": "dict", "content": "fsst"},
+        concurrency=2,
+    )
+    ordered = pa.concat_tables(
+        encode_dataset_ordered(corpus_parquet, **knobs)
+        .materialize()
+        .iter_batches(batch_size=None, batch_format="pyarrow")
+    )
+    out = tmp_path / "job"
+    run_encode_job(corpus_parquet, str(out), **knobs)
+    job = pq.read_table(out / "blocks")
+
+    def by_ordinal(t: pa.Table) -> dict:
+        cols = ["block_id", "content_sha256", "row_start", "n_rows", "zonemap"]
+        cols += [c for c in t.column_names if c.startswith("col_")]
+        out = {}
+        for r in t.to_pylist():
+            lineage = {c: {k: v for k, v in info.items() if k != "ms"}
+                       for c, info in json.loads(r["lineage"]).items()}
+            out[(r["partition_seq"], r["block_seq"])] = (
+                {c: r[c] for c in cols}, lineage)
+        return out
+
+    assert sorted(ordered.column_names) == sorted(job.column_names)
+    want, got = by_ordinal(job), by_ordinal(ordered)
+    assert len({seq for seq, _ in want}) > 1, "fixture should span partitions"
+    assert sum(v[0]["n_rows"] for v in want.values()) == 3000
+    assert got == want

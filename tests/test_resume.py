@@ -279,6 +279,32 @@ def test_job_filter_on_column_outside_projection(ray_session, corpus_parquet, tm
     assert len(dec) == want
 
 
+def test_projected_columns_validated_on_every_file(ray_session, tmp_path):
+    """A `columns` name missing from one input file refuses at plan time,
+    naming the file, before the job record or any partition is written.
+    The row-group read drops unknown names, so the miss used to surface
+    inside a task after another file's partition had committed, and the
+    strict `columns` resume key then refused the corrected retry."""
+    import pyarrow as pa
+
+    from rayenc.jobs import encode_dataset_ordered
+
+    p0, p1 = str(tmp_path / "p0.parquet"), str(tmp_path / "p1.parquet")
+    pq.write_table(pa.table({"a": [1, 2], "b": ["x", "y"]}), p0)
+    pq.write_table(pa.table({"a": [3, 4]}), p1)
+    out = tmp_path / "job"
+    with pytest.raises(ValueError, match="p1.parquet"):
+        run_encode_job([p0, p1], str(out), columns=["a", "b"], hash_column=None,
+                       concurrency=2)
+    assert not (out / "job.json").exists()
+    assert Manifest(str(out)).committed_ids() == set()
+    with pytest.raises(ValueError, match="p1.parquet"):
+        encode_dataset_ordered([p0, p1], columns=["a", "b"], hash_column=None)
+    s = run_encode_job([p0, p1], str(out), columns=["a"], hash_column=None,
+                       concurrency=2)
+    assert s["partitions_encoded"] == 2 and s["rows"] == 4
+
+
 def test_empty_input_list_with_filter(tmp_path):
     """Empty input list + filter: predicate shape checks still run, no
     IndexError (round-3 review)."""
