@@ -351,8 +351,21 @@ class BlockEncoder:
         partition_id: str = "",
         partition_seq: int = 0,
         row_start: int | None = None,
+        codecs: dict[str, str] | None = None,
     ) -> pa.Table:
+        """Encode one batch into one block row.
+
+        Each column's codec comes from, in order: the encoder's
+        `forced_codecs`; the per-call `codecs` (a codec this column's
+        block already recorded in its lineage: a copy-on-write rewrite
+        re-encodes with it instead of trialling, lineage reason
+        ``"reused <codec>"``); the per-column cache of an earlier trial;
+        a fresh selector trial. A forced or reused codec that cannot
+        encode the values (``bitpack`` after a negative value) falls back
+        to ``plain`` and the reason names the codec that failed. Neither
+        `codecs` nor the plain fallback touches the trial cache."""
         cols = self.columns or batch.column_names
+        codecs = codecs or {}
         for reserved in ("__bloom__", "__hll__", "__kll__", "__ngram__"):
             # reserved zonemap keys hold the per-column Bloom filter / HLL
             # register maps; a real column by either name would collide and
@@ -400,14 +413,19 @@ class BlockEncoder:
                         ngrams[name] = nf
             t0 = time.perf_counter()
             forced = self.forced_codecs.get(name)
+            given = forced or codecs.get(name)
             cached = self._cached.get(name)
-            if forced:
+            if given:
+                how = "forced" if forced else "reused"
                 try:
                     blob = encode_column(
-                        arr, forced, self.level, self.page_rows, self.page_zones,
+                        arr, given, self.level, self.page_rows, self.page_zones,
                         self.bloom,
                     )
-                    choice_info = {"codec": forced, "reason": "forced"}
+                    choice_info = {
+                        "codec": given,
+                        "reason": how if forced else f"{how} {given}",
+                    }
                 except Exception:
                     blob = encode_column(
                         arr, "plain", self.level, self.page_rows, self.page_zones,
@@ -415,7 +433,7 @@ class BlockEncoder:
                     )
                     choice_info = {
                         "codec": "plain",
-                        "reason": f"forced {forced} failed; zstd backstop",
+                        "reason": f"{how} {given} failed; zstd backstop",
                     }
             elif cached is not None and self._since_trial.get(name, 0) < self.retrial_blocks:
                 try:

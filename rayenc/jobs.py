@@ -380,15 +380,30 @@ def _entry_drift(entry: dict, got: dict) -> list[str]:
     return errs
 
 
-def _column_summaries(blocks: pa.Table, names=None) -> dict:
+def _summary_drift(entry: dict) -> list[str]:
+    """Each way an entry's ``columns`` summaries disagree with its own
+    block inventory: their encoded bytes must sum to ``encoded_bytes``
+    and each column's codec counts to ``blocks``. Reads no file."""
+    pid, cols = entry["partition_id"], entry.get("columns", {})
+    errs = []
+    enc = sum(c["enc_bytes"] for c in cols.values())
+    if enc != entry.get("encoded_bytes", 0):
+        errs.append(f"{pid}: columns summaries sum to {enc} encoded bytes, "
+                    f"{entry.get('encoded_bytes')} in manifest")
+    for col, c in cols.items():
+        n = sum(c["codecs"].values())
+        if n != entry.get("blocks", 0):
+            errs.append(f"{pid}: column {col} codec counts sum to {n} blocks, "
+                        f"{entry.get('blocks')} in manifest")
+    return errs
+
+
+def _column_summaries(blocks: pa.Table) -> dict:
     """Fold the blocks' per-column lineage JSON into the entry's
-    ``columns`` summaries (codec counts, bytes, encode ms), optionally
-    only for `names`."""
+    ``columns`` summaries (codec counts, bytes, encode ms)."""
     out: dict[str, dict] = {}
     for s in blocks["lineage"].to_pylist():
         for col, info in json.loads(s or "{}").items():
-            if names is not None and col not in names:
-                continue
             cs = out.setdefault(
                 col, {"codecs": {}, "src_bytes": 0, "enc_bytes": 0, "ms": 0.0}
             )
@@ -401,9 +416,12 @@ def _column_summaries(blocks: pa.Table, names=None) -> dict:
 
 def _commit_entry(manifest: Manifest, entry: dict, blocks: pa.Table | None,
                   **fields) -> dict:
-    """Entry rebuild + commit: `entry` with its file-derived fields
-    re-read from `blocks` and `fields` laid over it."""
-    new_entry = {**entry, **_file_fields(blocks), **fields}
+    """Entry rebuild + commit: `entry` with its file-derived fields and
+    its ``columns`` summaries re-read from `blocks` (so a rewrite never
+    leaves the encode-time summaries behind), and `fields` laid over
+    it."""
+    columns = _column_summaries(blocks) if blocks is not None else {}
+    new_entry = {**entry, **_file_fields(blocks), "columns": columns, **fields}
     manifest.commit(new_entry)
     return new_entry
 
@@ -570,7 +588,6 @@ class PartitionEncoder(_PartitionStage):
                 "partition_id": pid,
                 "input": {k: part[k] for k in ("path", "rg_start", "rg_end")},
                 "source_bytes": int(pc.sum(blocks["source_bytes"]).as_py()) if blocks else 0,
-                "columns": _column_summaries(blocks) if blocks else {},
                 "output": str(self.blocks_dir / f"{pid}.parquet") if blocks else None,
             },
             blocks,
@@ -970,10 +987,11 @@ def fsck_job(out_root: str, deep: bool = False) -> dict:
     """Structural consistency check of a committed job dir: every
     manifest entry must have its blocks file, and the file's contents
     must agree with the entry (block count, row total, per-block sha256
-    chain list, encoded-byte total); block files no entry references are
-    reported as orphans (a crashed attempt that published before its
-    plan changed, or a foreign file), staging leftovers are counted
-    (vacuum candidates). Metadata-only by default — parquet footers and
+    chain list, encoded-byte total), as must the entry's per-column
+    summaries with its own block count and encoded bytes; block files no
+    entry references are reported as orphans (a crashed attempt that
+    published before its plan changed, or a foreign file), staging
+    leftovers are counted (vacuum candidates). Metadata-only by default — parquet footers and
     small meta columns, no blob decodes — so it is a driver-side scan
     even on a huge dir. `deep=True` additionally runs the distributed
     per-row sha256 chain verify over every block (verify_blocks).
@@ -992,6 +1010,8 @@ def fsck_job(out_root: str, deep: bool = False) -> dict:
         Path(e["output"]).name for e in entries if e.get("output")
     }
     checkable = [e for e in entries if e.get("output")]
+    for e in entries:
+        errors.extend(_summary_drift(e))
     rows_total = 0
     blocks_total = 0
     # per-entry checks fan out as a control-plane Dataset stage: each is
@@ -1212,13 +1232,16 @@ def _reconcile_entry(manifest: Manifest, entry: dict, kind: str) -> dict:
     rebuild the entry's file-derived fields, bump the generation (the
     row-changing rewrite DID happen), record crash-recovery lineage, and
     commit. Returns the (possibly corrected) entry."""
-    meta = pq.read_table(
-        entry["output"],
-        columns=["n_rows", "encoded_bytes", "content_sha256", "block_seq"],
-    ).sort_by("block_seq")
+    cols = ["n_rows", "encoded_bytes", "content_sha256", "block_seq"]
+    meta = pq.read_table(entry["output"], columns=cols).sort_by("block_seq")
     got = _file_fields(meta)
     if not _entry_drift(entry, got):
         return entry
+    # only the drift commit re-folds the columns summaries: read the
+    # (larger) lineage column for it alone
+    meta = pq.read_table(
+        entry["output"], columns=[*cols, "lineage"]
+    ).sort_by("block_seq")
     recovery = {"crash_recovered": True, "rows_before": entry.get("rows"),
                 "rows_after": got["rows"]}
     return _commit_entry(
@@ -1236,10 +1259,15 @@ class _PartitionRewriter(_PartitionStage):
     is read first — a partition whose blocks all prove empty returns
     untouched without fetching one encoded blob; (2) only zone-candidate
     blocks decode; (3) a candidate with zero exact matches keeps its
-    original encoded row verbatim. block_seq is renumbered contiguously
-    and row_start re-derived (block_id is a content digest, independent
-    of seq), so decode_ordered / take_rows keep working. The swap is
-    `_publish`: readers see the old or the new partition, never half.
+    original encoded row verbatim. A rewritten block re-encodes each
+    column with the codec its old lineage records (reason ``"reused
+    <codec>"``), not a fresh selector trial: removing rows or editing
+    values does not move a measured codec choice, and a codec that can
+    no longer encode the new values falls back to plain. block_seq is
+    renumbered contiguously and row_start re-derived (block_id is a
+    content digest, independent of seq), so decode_ordered / take_rows
+    keep working. The swap is `_publish`: readers see the old or the new
+    partition, never half.
 
     A subclass names its manifest lineage key and audit log (`kind`),
     its public op (`op`), the result counts the driver sums (`summed`),
@@ -1308,6 +1336,7 @@ class _PartitionRewriter(_PartitionStage):
             matched += n_match
             out = self._transform(decoded, mask)
             removed += decoded.num_rows - out.num_rows
+            lineage = json.loads(old["lineage"][i].as_py() or "{}")
             rewritten[i] = None if out.num_rows == 0 else self.core.encode_table(
                 out,
                 block_seq=0,  # renumbered below with the kept rows
@@ -1318,6 +1347,7 @@ class _PartitionRewriter(_PartitionStage):
                     else 0
                 ),
                 row_start=0 if has_rs else None,
+                codecs={c: info["codec"] for c, info in lineage.items()},
             ).select(old.column_names)
         if matched == 0:
             return untouched
@@ -1781,28 +1811,20 @@ class PartitionEnricher(_PartitionStage):
                 new = new.append_column(
                     f"col_{n}", pa.array(blobs[n], type=pa.binary())
                 )
-        # summaries fold from the file's lineage: fresh columns AND the
-        # commit-finish of columns a crashed attempt published
-        summaries = _column_summaries(new, self.columns)
-        cols = dict(entry.get("columns", {}))
-        lineage = list(entry.get("enrichments", []))
-        recorded = {x["column"] for x in lineage}
-        changed = False
-        for n in self.columns:
-            if n not in cols:
-                cols[n] = summaries[n]
-                changed = True
-            if n not in recorded:
-                lineage.append(
-                    {"column": n, "enricher": self.columns[n],
-                     "input": self.input_column}
-                )
-                changed = True
+        # the commit re-folds `columns` from the file's lineage: fresh
+        # columns AND the commit-finish of columns a crashed attempt
+        # published
+        recorded = {x["column"] for x in entry.get("enrichments", [])}
+        added = [
+            {"column": n, "enricher": en, "input": self.input_column}
+            for n, en in self.columns.items()
+            if n not in recorded
+        ]
+        lineage = [*entry.get("enrichments", []), *added]
         if missing:
-            _publish(self.manifest, entry, new, self.chaos_dir,
-                     columns=cols, enrichments=lineage)
-        elif changed:  # published by a crashed attempt: commit only
-            _commit_entry(self.manifest, entry, new, columns=cols, enrichments=lineage)
+            _publish(self.manifest, entry, new, self.chaos_dir, enrichments=lineage)
+        elif added:  # published by a crashed attempt: commit only
+            _commit_entry(self.manifest, entry, new, enrichments=lineage)
         return {
             "partition_id": pid,
             "rows": int(entry["rows"]) if missing else 0,

@@ -11,12 +11,15 @@ import pyarrow.parquet as pq
 import pytest
 
 from rayenc import (
+    compact_job,
     delete_rows,
     enrich_job,
     fsck_job,
     run_encode_job,
     update_rows,
 )
+from rayenc.jobs import _column_summaries
+from rayenc.manifest import Manifest
 
 
 @pytest.fixture()
@@ -35,14 +38,70 @@ def test_fsck_clean_dir_ok(job):
     assert r["rows"] == 3000 and r["orphans"] == [] and r["staging_files"] == 0
 
 
-def test_fsck_ok_after_every_dml(job):
+def _assert_summaries_match_files(job):
+    for e in Manifest(job).entries():
+        blocks = pq.read_table(e["output"], columns=["block_seq", "lineage"])
+        assert e["columns"] == _column_summaries(blocks.sort_by("block_seq")), e[
+            "partition_id"
+        ]
+
+
+def test_entry_summaries_follow_delete_and_update(job):
+    """A rewrite re-folds the entry's per-column summaries from the
+    blocks it commits: none keeps the encode-time codec counts/bytes."""
+    delete_rows(job, [("lang", "==", "ruby")])
+    _assert_summaries_match_files(job)
+    update_rows(job, [("lang", "==", "python")], scrub={"content": [("def ", "fn ")]})
+    _assert_summaries_match_files(job)
+
+
+def test_fsck_ok_after_every_dml(ray_session, corpus_parquet, tmp_path):
+    """encode + update + delete + compact + enrich: every entry and its
+    summaries still agree with the files."""
+    job = str(tmp_path / "job")
+    s = run_encode_job(
+        corpus_parquet, job, block_rows=100, max_partition_bytes=1 << 20, concurrency=2
+    )
+    assert s["partitions_total"] >= 2
     enrich_job(job, "nt", "n_tokens", input_column="content")
     update_rows(job, [("lang", "==", "python")], set_values={"lang": "py"})
     delete_rows(job, [("lang", "==", "ruby")])
+    assert compact_job(job, target_block_rows=500)["partitions_compacted"] > 0
+    enrich_job(job, "nc", "n_chars", input_column="content")
+    _assert_summaries_match_files(job)
     r = fsck_job(job, deep=True)
     assert r["ok"], r["errors"]
     assert r["deep_verify"]["ok"]
     assert r["rows"] < 3000  # the delete removed rows and fsck agrees
+
+
+def test_fsck_flags_summaries_that_disagree_with_the_entry(job):
+    """Manifest-only check: the columns summaries' encoded bytes must sum
+    to the entry's, and each column's codec counts to its blocks."""
+    mfile = sorted(Path(job, "manifest").glob("*.json"))[0]
+    good = mfile.read_text()
+    e = json.loads(good)
+    col = sorted(e["columns"])[0]
+    e["columns"][col]["enc_bytes"] += 5
+    mfile.write_text(json.dumps(e))
+    r = fsck_job(job)
+    assert not r["ok"]
+    assert r["errors"] == [
+        f"{e['partition_id']}: columns summaries sum to {e['encoded_bytes'] + 5} "
+        f"encoded bytes, {e['encoded_bytes']} in manifest"
+    ]
+    e = json.loads(good)
+    codec = sorted(e["columns"][col]["codecs"])[0]
+    e["columns"][col]["codecs"][codec] += 1
+    mfile.write_text(json.dumps(e))
+    r = fsck_job(job)
+    assert not r["ok"]
+    assert r["errors"] == [
+        f"{e['partition_id']}: column {col} codec counts sum to {e['blocks'] + 1} "
+        f"blocks, {e['blocks']} in manifest"
+    ]
+    mfile.write_text(good)
+    assert fsck_job(job)["ok"]
 
 
 def test_fsck_detects_missing_file_orphan_and_drift(job):

@@ -17,6 +17,7 @@ import ray.data as rd
 
 from rayenc import (
     decode_dataset,
+    fsck_job,
     read_blocks_at,
     run_encode_job,
     update_rows,
@@ -346,3 +347,104 @@ def test_cli_scrub_splits_at_first_unescaped_equals():
     for bad in ["body", "body:noequals", "body:=x", ":a=b"]:
         with pytest.raises(SystemExit):
             _parse_scrub([bad])
+
+
+def _block_lineage(out) -> dict:
+    """(partition_id, block_seq) -> that block's per-column lineage."""
+    got = {}
+    for f in (Path(out) / "blocks").glob("*.parquet"):
+        t = pq.read_table(f, columns=["partition_id", "block_seq", "lineage"])
+        for r in t.to_pylist():
+            got[(r["partition_id"], r["block_seq"])] = json.loads(r["lineage"])
+    return got
+
+
+def _blocks_holding(out, col, value) -> set:
+    """(partition_id, block_seq) of every block with a row col == value."""
+    from rayenc.decode import BlockDecoder
+
+    dec = BlockDecoder(columns=[col])
+    keys = set()
+    for f in (Path(out) / "blocks").glob("*.parquet"):
+        t = pq.read_table(f)
+        for i in range(t.num_rows):
+            if value in dec(t.slice(i, 1))[col].to_pylist():
+                keys.add((t["partition_id"][i].as_py(), t["block_seq"][i].as_py()))
+    return keys
+
+
+def test_rewrites_reuse_each_blocks_recorded_codecs(ray_session, tmp_path, monkeypatch):
+    """update_rows and delete_rows re-encode a rewritten block with the
+    codec each column's lineage records, and run no selector trial: the
+    stages run in-process with the selector patched to raise."""
+    from rayenc.jobs import PartitionDeleter, PartitionUpdater, _job_entries
+
+    srcs, out = _job(tmp_path, n=2000, max_partition_bytes=20_000)
+
+    def no_trial(*a, **k):
+        raise AssertionError("selector trial during a copy-on-write rewrite")
+
+    monkeypatch.setattr("rayenc.encode.encode_column_auto", no_trial)
+    monkeypatch.setattr("rayenc.selector.select_codec", no_trial)
+    steps = [
+        (PartitionUpdater, "de", {"set_values": None,
+                                  "scrub": {"body": [(r"@example\.com", "@x.org")]}}),
+        (PartitionDeleter, "fr", {}),
+    ]
+    for stage, lang, kw in steps:
+        before = _block_lineage(out)
+        touched = _blocks_holding(out, "lang", lang)
+        _, params, entries = _job_entries(str(out))
+        st = stage(str(out), params, [[["lang", "==", lang]]], **kw)
+        assert len(entries) > 1
+        assert all(st._run(e)["rewritten"] for e in entries)
+        after = _block_lineage(out)
+        assert after.keys() == before.keys()  # no block emptied
+        reused = 0
+        for key, lin in after.items():
+            if key not in touched:
+                assert lin == before[key]  # kept verbatim
+                continue
+            reused += 1
+            assert lin.keys() == before[key].keys()
+            for col, info in lin.items():
+                assert info["codec"] == before[key][col]["codec"], (key, col)
+                assert info["reason"] == f"reused {info['codec']}", (key, col)
+        assert reused == len(touched) > 0
+    assert fsck_job(str(out), deep=True)["ok"]
+
+
+def test_rewrite_falls_back_to_plain_when_recorded_codec_fails(ray_session, tmp_path):
+    """A negative SET into a bitpack column cannot reuse bitpack: the
+    block rewrites as plain, its reason names bitpack, and the rows
+    round-trip."""
+    n = 1000
+    i = np.arange(n, dtype=np.int64)
+    # a 100-row block of this pattern packs smaller without a frame of
+    # reference, so the selector picks bitpack for every block
+    src = pa.table({
+        "doc_id": pa.array(i),
+        "score": pa.array((13 * (i % 100)) % 1000 + 100),
+        "body": pa.array([f"text-{k}" for k in i]),
+    })
+    p = tmp_path / "src.parquet"
+    pq.write_table(src, p, row_group_size=500)
+    out = tmp_path / "job"
+    run_encode_job(str(p), str(out), block_rows=100, hash_column="body", concurrency=2)
+    before = _block_lineage(out)
+    assert {lin["score"]["codec"] for lin in before.values()} == {"bitpack"}
+    (first,) = _blocks_holding(out, "doc_id", 0)  # holds doc_id 0-99
+    s = update_rows(str(out), [("doc_id", "<", 50)], set_values={"score": -1})
+    assert s["rows_updated"] == 50
+    after = _block_lineage(out)
+    for key, lin in after.items():
+        if key != first:
+            assert lin == before[key]
+    assert after[first]["score"]["codec"] == "plain"
+    assert after[first]["score"]["reason"] == "reused bitpack failed; zstd backstop"
+    assert after[first]["doc_id"]["reason"] == f"reused {before[first]['doc_id']['codec']}"
+    got = _decode_all(out)
+    want = np.where(i < 50, -1, (13 * (i % 100)) % 1000 + 100)
+    assert got["score"].to_pylist() == want.tolist()
+    assert got["body"].to_pylist() == src["body"].to_pylist()
+    assert fsck_job(str(out), deep=True)["ok"]
