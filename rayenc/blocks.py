@@ -33,8 +33,8 @@ _MAGIC = b"RYB2"
 # bit streams ELEMENT-major; "RYB2" packs them PLANE-major (pack_planes)
 # — same section lengths when n%8==0, so decoding an RYB1 blob with the
 # RYB2 unpacker would return silently wrong values. Decode therefore
-# refuses RYB1 loudly (and manifest.FORMAT_VERSION gates job-dir resume
-# the same way).
+# refuses RYB1 loudly (and manifest.check_format refuses a job dir of any
+# other FORMAT_VERSION at every entry point the same way).
 _OLD_MAGICS = {b"RYB1"}
 
 

@@ -658,7 +658,6 @@ def encode_dataset(
     forced_codecs: dict[str, str] | None = None,
     retrial_blocks: int = 16,
     stats: str = "block",
-    preselect: bool = False,
     page_rows: int | None = None,
     decode_weight: float = 0.0,
     bloom: bool = True,
@@ -681,21 +680,16 @@ def encode_dataset(
     the decode a CPU. Benchmarks that run one stage at a time pass an
     explicit fixed (n, n) pool to skip the autoscaler ramp.
 
-    preselect=True runs the codec selector ONCE on the driver over the
-    first block-sized sample and ships the choices as forced codecs —
-    every actor then encodes directly (no per-actor first-block trials,
-    no runoff double-encodes). Right for homogeneous corpora where
-    per-partition drift is small; leave False when column distributions
-    shift across the input (the per-actor trial cache re-adapts every
-    `retrial_blocks`). A forced codec that fails on a later block falls
-    back to plain per block."""
+    `forced_codecs=preselect_codecs(ds, ...)` runs the codec selector
+    ONCE on the driver over a block-sized sample and ships the choices as
+    forced codecs — every actor then encodes directly (no per-actor
+    first-block trials, no runoff double-encodes). Right for homogeneous
+    corpora where per-partition drift is small; leave it unset when
+    column distributions shift across the input (the per-actor trial
+    cache re-adapts every `retrial_blocks`). A forced codec that fails on
+    a later block falls back to plain per block."""
     if columns:
         ds = ds.select_columns(columns)
-    if preselect and not forced_codecs:
-        forced_codecs = preselect_codecs(
-            ds, block_rows=block_rows, level=level,
-            decode_weight=decode_weight, enc_cap=enc_cap, archive=archive,
-        )
     if concurrency is None:
         concurrency = (1, default_pool_size())
     return ds.map_batches(

@@ -45,7 +45,7 @@ import ray.data
 
 from .dispatch import map_stage, task_cap
 from .encode import BlockEncoder, cluster_cpus
-from .manifest import Manifest
+from .manifest import FORMAT_VERSION, Manifest, check_format
 
 DEFAULT_MAX_PARTITION_BYTES = 256 << 20
 DEFAULT_MAX_BLOCK_BYTES = 64 << 20
@@ -515,13 +515,21 @@ def _row_starts(n_rows) -> pa.Array:
     return pa.array(rs, pa.int64())
 
 
+def _job_record(manifest: Manifest) -> dict:
+    """The job record of a committed dir, refused when missing or not of
+    this FORMAT_VERSION (check_format)."""
+    rec = manifest.job_record()
+    if rec is None:
+        raise ValueError(f"{manifest.root} has no job record; not an encode-job dir")
+    check_format(rec, manifest.root)
+    return rec
+
+
 def _job_entries(out_root: str) -> tuple[Manifest, dict, list[dict]]:
     """Job-record gate of every stage that rewrites a committed dir: the
     manifest, the recorded params and the committed non-empty entries."""
     manifest = Manifest(out_root)
-    rec = manifest.job_record()
-    if rec is None:
-        raise ValueError(f"{out_root} has no job record; not an encode-job dir")
+    rec = _job_record(manifest)
     entries = [e for e in manifest.entries() if e.get("output") and e.get("rows")]
     return manifest, rec.get("params", {}), entries
 
@@ -813,9 +821,16 @@ def run_encode_job(
     Rerun-safe: partitions already in the manifest are skipped before any
     data is read (kill-and-rerun covered by tests/test_resume.py). The
     out_root carries a job record (format version + parameters); resuming
-    with a different filter/columns/hash_column — or into a root written
-    by an older partition-id scheme — raises instead of silently mixing
-    rows from different predicates (ADVICE r2).
+    with a different filter/columns/hash_column — or into a root of
+    another format_version — raises instead of silently mixing rows from
+    different predicates (ADVICE r2).
+
+    Output bytes are reproducible only at `concurrency=1`: each task
+    worker trials the first block it encodes and serves its later
+    partitions from that cached choice, so at a higher concurrency a
+    near-tie column (measured: `repo`, plain vs dict, on the perfbench
+    ingest input) takes whichever codec the worker that picks up a
+    partition happened to trial.
 
     `filter` ((col, op, value) conjunctions) encodes only matching rows:
     row-groups proven empty by parquet statistics are skipped at PLAN
@@ -912,7 +927,7 @@ class PartitionCompactor(_PartitionStage):
     def _run(self, entry: dict) -> dict:
         pid = entry["partition_id"]
         old = pq.read_table(entry["output"]).sort_by("block_seq")
-        pseq = int(old["partition_seq"][0].as_py()) if "partition_seq" in old.column_names else 0
+        pseq = int(old["partition_seq"][0].as_py())
         decoded = self.dec(old)  # one partition = one batch, row order = block_seq order
         if decoded.num_rows != entry["rows"]:
             raise RuntimeError(
@@ -934,55 +949,6 @@ class PartitionCompactor(_PartitionStage):
         }
 
 
-def _backfill_row_start(batch: pa.Table, blocks_dir: str) -> pa.Table:
-    """Per-partition ``row_start`` backfill: a METADATA-ONLY rewrite of a
-    legacy (pre-row_start) partition blocks file — blocks sorted by
-    block_seq, the exclusive cumsum of n_rows written as row_start, the
-    parquet swapped atomically. No blobs are decoded or re-encoded, so
-    block_ids / sha256 chains / the manifest block inventory all stay
-    valid. This is the remediation path RowStartRequired names (VERDICT
-    r4 #7: the O(n_blocks) driver offset map is retired). Partitions
-    already carrying non-null row_start are detected from the parquet
-    FOOTER statistics alone — a healthy job dir pays one footer read per
-    partition, never a data read."""
-    out: list[dict] = []
-    for row in batch.to_pylist():
-        pid = row["partition_id"]
-        f = Path(blocks_dir) / f"{pid}.parquet"
-        pf = pq.ParquetFile(f)
-        names = pf.schema_arrow.names
-        needs = "row_start" not in names
-        if not needs:
-            idx = names.index("row_start")
-            md = pf.metadata
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(idx).statistics
-                if st is None or st.null_count is None or st.null_count > 0:
-                    needs = True  # nulls (or no stats to prove otherwise)
-                    break
-        if not needs:
-            out.append({"partition_id": pid, "backfilled": False})
-            continue
-        t = pq.read_table(f).sort_by([("block_seq", "ascending")])
-        if "row_start" in t.column_names:
-            t = t.drop_columns(["row_start"])
-        # canonical slot (after content_sha256, matching encode_table):
-        # appending at the END gives a MIXED job dir (some partitions
-        # encoded with row_start, some backfilled) permuted per-file
-        # schemas — Ray Data warns per RefBundle and positional
-        # concatenation breaks downstream
-        t = t.add_column(
-            t.column_names.index("content_sha256") + 1,
-            "row_start",
-            _row_starts(t["n_rows"]),
-        )
-        tmp = _tmp_path(f)
-        pq.write_table(t, tmp, compression="none")
-        os.replace(tmp, f)
-        out.append({"partition_id": pid, "backfilled": True})
-    return pa.Table.from_pylist(out)
-
-
 def fsck_job(out_root: str, deep: bool = False) -> dict:
     """Structural consistency check of a committed job dir: every
     manifest entry must have its blocks file, and the file's contents
@@ -998,12 +964,10 @@ def fsck_job(out_root: str, deep: bool = False) -> dict:
     Returns {"ok": bool, "errors": [...], ...}; never mutates."""
     manifest = Manifest(out_root)
     errors: list[str] = []
-    rec = manifest.job_record()
-    if rec is None:
-        return {
-            "ok": False,
-            "errors": [f"{out_root} has no job record; not an encode-job dir"],
-        }
+    try:
+        rec = _job_record(manifest)
+    except ValueError as e:
+        return {"ok": False, "errors": [str(e)]}
     blocks_dir = Path(out_root) / "blocks"
     entries = manifest.entries()
     referenced = {
@@ -1154,7 +1118,9 @@ def compact_job(
     rerunning is a no-op, and a killed run leaves every partition either
     old-shape or new-shape, never mixed. The job record is untouched:
     compaction changes block geometry, not job identity (filter/columns/
-    hash), so resume gates keep working."""
+    hash), so resume gates keep working. Like every job-dir entry point
+    it refuses a dir of another format_version (`check_format`); it
+    re-blocks only and upgrades nothing in place."""
     import math
 
     manifest, params, entries = _job_entries(out_root)
@@ -1164,33 +1130,11 @@ def compact_job(
     summary = {
         "partitions_compacted": 0,
         "partitions_skipped": len(manifest.entries()) - len(pending),
-        "partitions_backfilled": 0,
         "blocks_before": 0,
         "blocks_after": 0,
         "encoded_bytes_before": 0,
         "encoded_bytes_after": 0,
     }
-    # row_start backfill sweep over partitions NOT being re-encoded
-    # (compaction itself re-derives row_start): legacy pre-row_start
-    # dirs become random-access capable in place; healthy partitions
-    # cost one parquet footer read each. See _backfill_row_start.
-    compacting = {e["partition_id"] for e in pending}
-    candidates = [
-        {"partition_id": e["partition_id"]}
-        for e in entries
-        if e["partition_id"] not in compacting
-    ]
-    if candidates:
-        bf = (
-            ray.data.from_items(candidates)
-            .map_batches(
-                _backfill_row_start,
-                fn_kwargs={"blocks_dir": str(Path(out_root) / "blocks")},
-                batch_format="pyarrow",
-            )
-            .take_all()
-        )
-        summary["partitions_backfilled"] = sum(1 for r in bf if r["backfilled"])
     if not pending:
         return summary
     results = _map_partitions(
@@ -1307,21 +1251,17 @@ class _PartitionRewriter(_PartitionStage):
         # by block_seq so candidate positions align with the sorted full
         # read below even if a file's physical row order ever drifts from
         # seq order (today they coincide; this pins the invariant)
-        if "zonemap" in pq.read_schema(entry["output"]).names:
-            zonly = pq.read_table(
-                entry["output"], columns=["zonemap", "block_seq"]
-            ).sort_by("block_seq")
-            candidates = [
-                i
-                for i, z in enumerate(zonly["zonemap"].to_pylist())
-                if zone_may_match_any(json.loads(z) if z else {}, self.dnf)
-            ]
-        else:  # no zone metadata: every block is a candidate
-            candidates = list(range(pq.ParquetFile(entry["output"]).metadata.num_rows))
+        zonly = pq.read_table(
+            entry["output"], columns=["zonemap", "block_seq"]
+        ).sort_by("block_seq")
+        candidates = [
+            i
+            for i, z in enumerate(zonly["zonemap"].to_pylist())
+            if zone_may_match_any(json.loads(z) if z else {}, self.dnf)
+        ]
         if not candidates:
             return untouched
         old = pq.read_table(entry["output"]).sort_by("block_seq")
-        has_rs = "row_start" in old.column_names
         matched = removed = 0
         rewritten: dict[int, pa.Table | None] = {}  # idx -> new row | None: emptied
         for i in candidates:
@@ -1341,12 +1281,8 @@ class _PartitionRewriter(_PartitionStage):
                 out,
                 block_seq=0,  # renumbered below with the kept rows
                 partition_id=pid,
-                partition_seq=(
-                    int(old["partition_seq"][i].as_py())
-                    if "partition_seq" in old.column_names
-                    else 0
-                ),
-                row_start=0 if has_rs else None,
+                partition_seq=int(old["partition_seq"][i].as_py()),
+                row_start=0,
                 codecs={c: info["codec"] for c, info in lineage.items()},
             ).select(old.column_names)
         if matched == 0:
@@ -1357,10 +1293,9 @@ class _PartitionRewriter(_PartitionStage):
             new.column_names.index("block_seq"), "block_seq",
             pa.array(np.arange(new.num_rows), pa.int64()),
         )
-        if has_rs:
-            new = new.set_column(
-                new.column_names.index("row_start"), "row_start", _row_starts(new["n_rows"])
-            )
+        new = new.set_column(
+            new.column_names.index("row_start"), "row_start", _row_starts(new["n_rows"])
+        )
         rows_after = _file_fields(new)["rows"]
         if rows_after + removed != entry["rows"]:
             raise RuntimeError(
@@ -2075,25 +2010,16 @@ def check_export_job(out_root: str | os.PathLike, params: dict) -> None:
     """Write the export record on first run; on resume REFUSE a parameter
     mismatch once any partition has been published — a different
     filter/columns would mix rows from two predicates in one output dir."""
-    from .manifest import FORMAT_VERSION
-
     p = export_record_path(out_root)
     os.makedirs(out_root, exist_ok=True)
     if p.exists():
         with open(p) as f:
             rec = json.load(f)
-        if rec.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"export root {out_root} was written with format_version "
-                f"{rec.get('format_version')}, this rayenc writes "
-                f"{FORMAT_VERSION}; use a fresh out_root"
-            )
-        from .manifest import canon_param
-
+        check_format(rec, out_root)
         mismatched = {
             k: (rec["params"].get(k), params.get(k))
             for k in params
-            if canon_param(k, rec["params"].get(k)) != canon_param(k, params.get(k))
+            if rec["params"].get(k) != params.get(k)
         }
         # rglob: partition_by exports publish under key subdirectories.
         # _done markers count too: an all-empty hive export (every row
@@ -2193,14 +2119,10 @@ class PartitionExporter(_PartitionStage):
                      and c[4:] in self.decode_cols]
         blocks = pq.read_table(src, columns=keep)
         blocks_all = blocks  # pre-prune reference for the empty-schema probe
-        seq = (
-            int(blocks["partition_seq"][0].as_py())
-            if "partition_seq" in blocks.column_names and len(blocks)
-            else 0
-        )
-        if self.ordered and "block_seq" in blocks.column_names:
+        seq = int(blocks["partition_seq"][0].as_py()) if len(blocks) else 0
+        if self.ordered:
             blocks = blocks.sort_by("block_seq")
-        if self.dnf and "zonemap" in blocks.column_names:
+        if self.dnf:
             mask = [
                 zone_may_match_any(json.loads(z) if z else {}, self.dnf)
                 for z in blocks["zonemap"].to_pylist()
@@ -2357,7 +2279,8 @@ def run_export_job(
     file, so file-order + row-order == original row order for ordered
     encodes). Rerun-safe: published partitions are skipped before any
     block is read; the export record refuses a filter/columns change
-    onto a half-finished dir (same class as the encode job record).
+    onto a half-finished dir (same class as the encode job record). A
+    source job dir of another format_version is refused (check_format).
 
     ``partition_by=[col, ...]`` switches to a hive-style layout:
     ``out_root/col=value/part-{seq:06d}-{pid}.parquet`` — one directory
@@ -2376,6 +2299,7 @@ def run_export_job(
     entries = manifest.entries()
     if not entries:
         raise ValueError(f"no committed partitions under {blocks_root}")
+    _job_record(manifest)
     # a filtered ENCODE can commit a partition with zero blocks (no
     # blocks parquet on disk, entry records blocks=0): nothing to export
     # there — reading its missing file would crash the task, and leaving

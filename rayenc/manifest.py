@@ -25,16 +25,21 @@ import tempfile
 from pathlib import Path
 
 
-# Partition-id scheme / layout version. 2 = full-path pids (round-2 fix:
-# basename pids collided across directories). A resume into an out_root
-# written under a different scheme would re-encode everything under new
-# pids while read_blocks still reads the stale {old_pid}.parquet files —
-# silently duplicating rows (ADVICE r2) — so job records carry the
-# version and resume refuses a mismatch.
+# Job-dir layout version, recorded in job.json (and the export record).
+# 2 = full-path pids (round-2 fix: basename pids collided across
+# directories; a resume under another scheme would re-encode everything
+# under new pids beside the stale files, duplicating rows, ADVICE r2).
 # 2 -> 3: pack_bits_z switched element-major -> plane-major bit packing
-# (block magic RYB1 -> RYB2); a v2 job dir resumed under v3 would decode
-# to silently wrong values wherever n%8 == 0.
-FORMAT_VERSION = 3
+# (block magic RYB1 -> RYB2); a v2 dir would decode to silently wrong
+# values wherever n%8 == 0.
+# 3 -> 4: the layout floor. A v4 dir has, on every block, `row_start`,
+# `partition_seq` and a `zonemap` whose float zones carry a NaN count;
+# its job record holds every STRICT_JOB_KEYS key and stores 'in' filter
+# values sorted. The code no longer tolerates the absence of any of
+# these, so every job-dir entry point refuses any other version through
+# check_format (Delta Lake's protocol-version rule: refuse an old table,
+# never upgrade it in place).
+FORMAT_VERSION = 4
 
 # Job parameters that change WHICH ROWS a partition contains (or how they
 # verify); resuming with a different value would mix rows from different
@@ -45,6 +50,7 @@ FORMAT_VERSION = 3
 # beside the re-encoded ones — every row read twice), and a changed input
 # list reuses partition_seq ordinals already committed under other files
 # (decode_ordered would interleave rows at the tied sort keys).
+# A v4 record holds every key; a missing one compares as None.
 STRICT_JOB_KEYS = (
     "filter",
     "columns",
@@ -53,40 +59,28 @@ STRICT_JOB_KEYS = (
     "inputs",
     # within-partition row order: a resume under a different cluster key
     # would mix orderings across partitions (rows intact, the
-    # decode_ordered contract broken) — records predating the key skip
-    # the check like any absent key
+    # decode_ordered contract broken)
     "cluster_by",
     # same order contract as cluster_by: lex vs zorder changes
     # within-partition row order (normalized to None when cluster_by is
-    # None, so unclustered records predating the key never mismatch)
+    # None)
     "cluster_mode",
 )
 
 
-def canon_param(key: str, value):
-    """Canonical form of a job/export record parameter for RESUME
-    comparison. 'in' predicate values compare as sorted lists — records
-    written before value normalization stored them verbatim, and an
-    order difference between [a,b] and [b,a] is a phantom mismatch that
-    would refuse a legitimately resumable dir (review finding). Handles
-    both the flat-conjunction job shape and the export record's DNF."""
-    if key != "filter" or not value:
-        return value
-
-    def canon_pred(p):
-        if not isinstance(p, (list, tuple)) or len(p) != 3:
-            return p  # malformed/empty entries compare verbatim
-        col, op, val = p
-        if op == "in" and isinstance(val, list):
-            try:
-                val = sorted(val)
-            except TypeError:
-                val = sorted(val, key=repr)
-        return [col, op, val]
-
-    if value and isinstance(value[0], list) and value[0] and isinstance(value[0][0], list):
-        return [[canon_pred(p) for p in conj] for conj in value]  # DNF
-    return [canon_pred(p) for p in value]
+def check_format(record: dict, root) -> None:
+    """Refuse a job or export record whose layout is not FORMAT_VERSION.
+    The one gate of every job-dir entry point (encode resume, the DML and
+    maintenance stages, fsck, and export: its source dir and its own
+    record): an older dir lacks fields this code requires, and is
+    re-encoded, never upgraded in place."""
+    ver = record.get("format_version")
+    if ver != FORMAT_VERSION:
+        raise ValueError(
+            f"{root} was written with format_version {ver}; this rayenc "
+            f"reads and writes only format_version {FORMAT_VERSION} and "
+            "refuses older (or newer) layouts — re-encode into a fresh out_root"
+        )
 
 
 class Manifest:
@@ -127,9 +121,8 @@ class Manifest:
 
     def check_job(self, params: dict, allow_input_growth: bool = False) -> None:
         """Gate a (re)run of this out_root: write the job record on first
-        run; on resume, REFUSE a format-version mismatch (older pid
-        scheme -> stale block files would silently duplicate rows) and a
-        strict-parameter mismatch (a different filter/columns/hash would
+        run; on resume, REFUSE a format-version mismatch (check_format)
+        and a strict-parameter mismatch (a different filter/columns/hash would
         mix rows from different predicates into one block table). Raises
         ValueError with the offending keys.
 
@@ -153,22 +146,12 @@ class Manifest:
                 {"format_version": FORMAT_VERSION, "params": params}
             )
             return
-        ver = rec.get("format_version")
-        if ver != FORMAT_VERSION:
-            raise ValueError(
-                f"out_root {self.root} was written with format_version {ver}, "
-                f"this rayenc writes {FORMAT_VERSION}; refusing to resume "
-                "(stale block files under the old id scheme would duplicate rows)"
-            )
+        check_format(rec, self.root)
         old = rec.get("params", {})
-        # keys absent from the record predate the strict check (e.g.
-        # `inputs` on round-3 job dirs): nothing recorded to compare, so
-        # accept and let the rewrite below backfill them
         mismatched = {
             k: {"recorded": old.get(k), "requested": params.get(k)}
             for k in STRICT_JOB_KEYS
-            if k in old
-            and canon_param(k, old.get(k)) != canon_param(k, params.get(k))
+            if old.get(k) != params.get(k)
         }
         if allow_input_growth and set(mismatched) == {"inputs"}:
             old_in, new_in = old.get("inputs") or [], params.get("inputs") or []

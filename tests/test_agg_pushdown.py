@@ -448,30 +448,3 @@ def test_agg_approx_quantiles_mixed_k_raises(ray_session):
     both = b1.union(b2)
     with pytest.raises(Exception, match="different k"):
         agg_approx_quantiles(both, "x", [0.5])
-
-
-def test_resume_tolerates_unsorted_legacy_in_filter(ray_session, tmp_path):
-    """Records written before 'in'-value normalization stored the list
-    verbatim: the resume compare must canonicalize BOTH sides, not
-    refuse the identical rerun (review finding)."""
-    import json as _json
-
-    import pyarrow.parquet as pq
-
-    from rayenc import run_encode_job
-
-    src = str(tmp_path / "src.parquet")
-    pq.write_table(
-        pa.table({"k": pa.array([1, 2, 3], type=pa.int64()),
-                  "content": pa.array(["a", "b", "c"])}),
-        src,
-    )
-    out = str(tmp_path / "job")
-    run_encode_job(src, out, filter=[("k", "in", [3, 1])], concurrency=2)
-    # simulate a legacy record: store the 'in' value UNSORTED
-    rec_path = tmp_path / "job" / "job.json"
-    rec = _json.loads(rec_path.read_text())
-    rec["params"]["filter"] = [["k", "in", [3, 1]]]
-    rec_path.write_text(_json.dumps(rec))
-    s = run_encode_job(src, out, filter=[("k", "in", [1, 3])], concurrency=2)
-    assert s["partitions_encoded"] == 0  # clean no-op resume

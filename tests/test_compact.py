@@ -75,69 +75,3 @@ def test_compact_job_preserves_rows_and_verify(tiny_block_job):
 def test_compact_job_requires_job_record(ray_session, tmp_path):
     with pytest.raises(ValueError, match="job record"):
         compact_job(str(tmp_path / "nope"), target_block_rows=100)
-
-
-def test_compact_backfills_row_start_on_legacy_dir(ray_session, tmp_path):
-    """A pre-row_start job dir (simulated by stripping the column from
-    every committed blocks file) makes random access raise the named
-    RowStartRequired; compact_job's metadata-only sweep backfills it in
-    place — no blobs re-encoded (block_ids unchanged), take_rows and
-    verify green afterwards, and a second compact_job is a no-op."""
-    import os
-
-    from rayenc.decode import RowStartRequired, take_rows
-    from rayenc.encode import read_blocks
-
-    rng = np.random.default_rng(5)
-    n = 2000
-    t = pa.table(
-        {
-            "doc_id": pa.array(np.arange(n, dtype=np.int64)),
-            "content": pa.array(["row-%d " % i * rng.integers(1, 5) for i in range(n)]),
-        }
-    )
-    src = tmp_path / "src.parquet"
-    pq.write_table(t, src, row_group_size=500)
-    root = tmp_path / "job"
-    run_encode_job(
-        str(src), str(root), block_rows=128, concurrency=2,
-        max_partition_bytes=t.nbytes // 3,  # force a multi-partition job
-    )
-
-    blocks_dir = root / "blocks"
-    block_ids_before = {}
-    files = sorted(blocks_dir.glob("*.parquet"))
-    assert len(files) >= 2, "test needs a multi-partition job"
-    for f in files:
-        bt = pq.read_table(f)
-        block_ids_before[f.name] = bt["block_id"].to_pylist()
-    # MIXED dir: strip row_start from only the first half — the backfill
-    # must restore the canonical column ORDER, not append at the end
-    # (permuted per-file schemas make Ray Data warn per RefBundle and
-    # break positional concatenation downstream)
-    for f in files[: len(files) // 2]:
-        pq.write_table(
-            pq.read_table(f).drop_columns(["row_start"]), f, compression="none"
-        )
-
-    with pytest.raises(RowStartRequired, match="compact_job"):
-        take_rows(read_blocks(str(blocks_dir)).materialize(), [3, 1999])
-
-    s = compact_job(str(root), target_block_rows=128, concurrency=2)
-    assert s["partitions_backfilled"] >= 1
-    assert s["partitions_compacted"] == 0  # geometry already at target
-
-    blocks = read_blocks(str(blocks_dir)).materialize()
-    got = take_rows(blocks, [3, 1999, 0])
-    assert got["doc_id"].to_pylist() == [3, 1999, 0]
-    assert verify_blocks(blocks)["ok"]
-    # every partition file — backfilled or untouched — shares ONE schema
-    orders = {tuple(pq.ParquetFile(f).schema_arrow.names) for f in files}
-    assert len(orders) == 1, orders
-    for f in sorted(blocks_dir.glob("*.parquet")):
-        assert pq.read_table(f)["block_id"].to_pylist() == block_ids_before[f.name]
-    # idempotent: healthy dir pays footer reads only, nothing rewritten
-    mtimes = {f.name: os.stat(f).st_mtime_ns for f in blocks_dir.glob("*.parquet")}
-    s2 = compact_job(str(root), target_block_rows=128, concurrency=2)
-    assert s2["partitions_backfilled"] == 0
-    assert {f.name: os.stat(f).st_mtime_ns for f in blocks_dir.glob("*.parquet")} == mtimes

@@ -70,9 +70,8 @@ def test_take_rows_random_access(ray_session, corpus_parquet):
 
 def test_take_rows_and_row_numbers_require_row_start(ray_session, corpus_parquet):
     """Blocks WITHOUT row_start raise the named RowStartRequired error
-    (the O(n_blocks) driver offset map is retired, VERDICT r4 #7); the
-    remediation path — compact_job's metadata-only backfill — is
-    covered in tests/test_compact.py."""
+    (the O(n_blocks) driver offset map is retired, VERDICT r4 #7),
+    naming the one remedy: re-encode with an ordered path."""
     import numpy as np
     import pytest
     import ray.data  # noqa: F401
@@ -96,9 +95,9 @@ def test_take_rows_and_row_numbers_require_row_start(ray_session, corpus_parquet
     assert fast.select(src.column_names).equals(src.take(pa.array(idx)))
 
     legacy = blocks.drop_columns(["row_start"]).materialize()
-    with pytest.raises(RowStartRequired, match="compact_job"):
+    with pytest.raises(RowStartRequired, match="re-encode with an ordered path"):
         take_rows(legacy, idx)
-    with pytest.raises(RowStartRequired, match="compact_job"):
+    with pytest.raises(RowStartRequired, match="re-encode with an ordered path"):
         attach_global_row_numbers(legacy, concurrency=(1, 2), base=0)
 
 

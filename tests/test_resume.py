@@ -236,6 +236,107 @@ def test_resume_format_version_mismatch_refused(corpus_parquet, tmp_path):
         run_encode_job(corpus_parquet, out, concurrency=2)
 
 
+def test_every_job_dir_entry_point_refuses_another_format_version(
+    ray_session, corpus_parquet, tmp_path
+):
+    """A job dir recorded under any format_version but this one is
+    refused by every entry point with the one check_format message:
+    encode resume, delete, update, compact, enrich and export raise it
+    before touching a file, and fsck reports it as its only error."""
+    from rayenc import compact_job, delete_rows, enrich_many, fsck_job, update_rows
+    from rayenc.jobs import run_export_job
+    from rayenc.manifest import FORMAT_VERSION
+
+    out = str(tmp_path / "job")
+    run_encode_job(corpus_parquet, out, block_rows=100, concurrency=2)
+    rec_path = tmp_path / "job" / "job.json"
+    rec = json.loads(rec_path.read_text())
+    rec["format_version"] = FORMAT_VERSION - 1
+    rec_path.write_text(json.dumps(rec))
+
+    def snapshot():
+        return {f: f.read_bytes() for f in (tmp_path / "job").rglob("*") if f.is_file()}
+
+    files = snapshot()
+
+    calls = [
+        lambda: run_encode_job(corpus_parquet, out, block_rows=100, concurrency=2),
+        lambda: delete_rows(out, [("lang", "==", "go")]),
+        lambda: update_rows(out, [("lang", "==", "go")], set_values={"lang": "golang"}),
+        lambda: compact_job(out, target_block_rows=3000),
+        lambda: enrich_many(out, {"nc": "n_chars"}),
+        lambda: run_export_job(out, str(tmp_path / "export")),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match="format_version") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+    msg = messages.pop()
+    assert f"format_version {FORMAT_VERSION - 1}" in msg and "older" in msg
+    report = fsck_job(out)
+    assert report["ok"] is False and report["errors"] == [msg]
+    assert snapshot() == files  # nothing written, renamed or removed
+
+
+def test_resume_refuses_record_missing_a_strict_key(
+    ray_session, corpus_parquet, tmp_path
+):
+    """Every record of this format_version holds every strict resume
+    key, so one without a key is not accepted as a nothing-to-compare
+    match: once partitions are committed the resume refuses."""
+    from rayenc.manifest import STRICT_JOB_KEYS
+
+    out = str(tmp_path / "job")
+    s = run_encode_job(corpus_parquet, out, block_rows=500, concurrency=2)
+    assert s["partitions_encoded"] > 0
+    rec_path = tmp_path / "job" / "job.json"
+    full = rec_path.read_text()
+    for key in ("inputs", "max_partition_bytes", "hash_column"):
+        assert key in STRICT_JOB_KEYS
+        rec = json.loads(full)
+        del rec["params"][key]
+        rec_path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=f"parameter mismatch.*'{key}'"):
+            run_encode_job(corpus_parquet, out, block_rows=500, concurrency=2)
+    rec_path.write_text(full)
+    s = run_encode_job(corpus_parquet, out, block_rows=500, concurrency=2)
+    assert s["partitions_encoded"] == 0
+
+
+def test_concurrency_one_encodes_write_the_same_blocks(
+    ray_session, corpus_parquet, tmp_path
+):
+    """Two run_encode_job calls at concurrency=1 write the same block
+    files: one task at a time runs on one reused worker, so its first
+    trial's cached codecs serve every later partition in plan order.
+    Only the lineage's wall-clock fields (`ms`, and the trials'
+    `enc_mbps`) may differ. This is the setting byte-equivalence checks of two code trees rely
+    on; at the default concurrency which worker's trial a partition
+    inherits varies from run to run (see run_encode_job)."""
+    def blocks(out):
+        files = {}
+        for f in sorted((out / "blocks").glob("*.parquet")):
+            t = pq.read_table(f)
+            rows = t.to_pylist()
+            for r in rows:
+                r["lineage"] = {
+                    c: {k: v for k, v in info.items() if k not in ("ms", "enc_mbps")}
+                    for c, info in json.loads(r["lineage"]).items()}
+            files[f.name] = (t.schema, rows)
+        return files
+
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"job{k}"
+        run_encode_job(corpus_parquet, str(out), block_rows=200,
+                       max_partition_bytes=1 << 20, concurrency=1)
+        runs.append(blocks(out))
+    assert len(runs[0]) > 1, "fixture should span partitions"
+    assert runs[0] == runs[1]
+
+
 def test_job_filter_validated_on_driver(corpus_parquet, tmp_path):
     """Malformed job filters raise on the driver, not inside an encode
     actor mid-partition (same class as decode.validate_predicates)."""
@@ -391,28 +492,6 @@ def test_resume_refuses_changed_inputs(ray_session, corpus_parquet, tmp_path):
     assert s["partitions_encoded"] > 0
     with _pytest.raises(ValueError, match="inputs"):
         run_encode_job([other, corpus_parquet], out, block_rows=500, concurrency=2)
-
-
-def test_resume_accepts_record_predating_inputs_key(
-    ray_session, corpus_parquet, tmp_path
-):
-    """A job record written before the inputs/max_partition_bytes keys
-    existed has nothing recorded to compare: resume must accept and
-    backfill, not permanently lock the root."""
-    import json as _json
-
-    out = str(tmp_path / "job")
-    s = run_encode_job(corpus_parquet, out, block_rows=500, concurrency=2)
-    assert s["partitions_encoded"] > 0
-    rec_path = tmp_path / "job" / "job.json"
-    rec = _json.loads(rec_path.read_text())
-    del rec["params"]["inputs"]
-    del rec["params"]["max_partition_bytes"]
-    rec_path.write_text(_json.dumps(rec))
-    s2 = run_encode_job(corpus_parquet, out, block_rows=500, concurrency=2)
-    assert s2["partitions_encoded"] == 0  # all committed; no refusal
-    rec2 = _json.loads(rec_path.read_text())
-    assert rec2["params"]["inputs"]  # backfilled on the rewrite
 
 
 def test_block_byte_cap_counts_nested_payloads():

@@ -37,11 +37,11 @@ def test_take_rows_rejects_unioned_encodes(ray_session, corpus_parquet):
 def test_take_rows_null_row_start_raises_named_error(
     ray_session, corpus_parquet
 ):
-    """row_start present in the schema but null for every block (a
-    pre-row_start job dir read with newer code unifies schemas this
-    way): round 5 retires the legacy driver offset map (VERDICT r4 #7),
-    so both random-access entry points raise the named RowStartRequired
-    pointing at compact_job's metadata-only backfill."""
+    """row_start present in the schema but null for every block (a union
+    of unordered and ordered blocks unifies schemas this way): round 5
+    retires the legacy driver offset map (VERDICT r4 #7), so both
+    random-access entry points raise the named RowStartRequired naming
+    the re-encode remedy."""
     import pytest
 
     from rayenc.decode import RowStartRequired, attach_global_row_numbers, take_rows
@@ -53,9 +53,9 @@ def test_take_rows_null_row_start_raises_named_error(
         return t.set_column(i, "row_start", pa.nulls(t.num_rows, pa.int64()))
 
     legacy = blocks.map_batches(null_rs, batch_format="pyarrow")
-    with pytest.raises(RowStartRequired, match="compact_job"):
+    with pytest.raises(RowStartRequired, match="re-encode with an ordered path"):
         take_rows(legacy, np.array([0, 1234, 2999]))
-    with pytest.raises(RowStartRequired, match="compact_job"):
+    with pytest.raises(RowStartRequired, match="re-encode with an ordered path"):
         attach_global_row_numbers(legacy, concurrency=(1, 2), base=0)
 
 

@@ -146,13 +146,17 @@ def test_verify_reports_corrupt_block_without_crashing(ray_session):
 
 
 def test_preselect_encode_roundtrip(ray_session, corpus_parquet):
-    """preselect=True (driver-side one-shot selection, forced codecs in
-    every actor) must round-trip identically to the adaptive path."""
+    """forced_codecs=preselect_codecs(...) (driver-side one-shot
+    selection, forced codecs in every actor) must round-trip identically
+    to the adaptive path."""
     import ray.data as rd
+
+    from rayenc.encode import preselect_codecs
 
     ds = rd.read_parquet(corpus_parquet)
     blocks = encode_dataset(
-        ds, block_rows=512, concurrency=2, preselect=True
+        ds, block_rows=512, concurrency=2,
+        forced_codecs=preselect_codecs(ds, block_rows=512),
     ).materialize()
     assert verify_blocks(blocks)["ok"]
     source = pq.read_table(corpus_parquet)
