@@ -37,6 +37,15 @@ def _init_ray() -> None:
         DataContext.get_current().enable_progress_bars = False
 
 
+def _job_blocks(args: argparse.Namespace):
+    """The block table of the job dir ``args.blocks``, read lazily as a
+    Ray Data dataset (starts Ray if needed)."""
+    _init_ray()
+    import ray.data as rd
+
+    return rd.read_parquet(os.path.join(args.blocks, "blocks"))
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     from rayenc.corpus import write_corpus
 
@@ -243,8 +252,6 @@ def cmd_compact(args: argparse.Namespace) -> int:
     manifest re-commits (rayenc.jobs.compact_job): atomic per partition,
     idempotent, resume gates untouched."""
     _init_ray()
-    import ray.data as rd
-
     if args.in_place:
         from rayenc.jobs import compact_job
 
@@ -256,7 +263,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
     from rayenc.encode import compact_blocks, write_blocks
     from rayenc.verify import verify_blocks
 
-    blocks = rd.read_parquet(os.path.join(args.blocks, "blocks"))
+    blocks = _job_blocks(args)
     before = blocks.count()
     out = compact_blocks(
         blocks,
@@ -306,12 +313,9 @@ def _parse_filters(specs: list[str] | None):
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    _init_ray()
-    import ray.data as rd
-
     from rayenc.decode import decode_dataset, decode_ordered, count_decoded_blocks
 
-    blocks = rd.read_parquet(os.path.join(args.blocks, "blocks"))
+    blocks = _job_blocks(args)
     filters = _parse_filters(args.filter)
     columns = args.columns.split(",") if args.columns else None
     stats = count_decoded_blocks(blocks, filters) if filters else None
@@ -364,13 +368,10 @@ def cmd_agg(args: argparse.Namespace) -> int:
     sum answer from zones (boundary blocks decode predicate columns
     only), min-max/distinct are zones/HLL-only, topk decodes only blocks
     the zone threshold can't prove out. One JSON line out."""
-    _init_ray()
-    import ray.data as rd
-
     from rayenc.decode import (agg_approx_distinct, agg_approx_quantiles,
                                agg_count, agg_min_max, agg_sum, agg_topk)
 
-    blocks = rd.read_parquet(os.path.join(args.blocks, "blocks"))
+    blocks = _job_blocks(args)
     filt = _parse_filters(args.filter)
     op = args.op
     if op in ("sum", "min-max", "distinct", "topk", "quantiles") and not args.col:
@@ -414,12 +415,9 @@ def cmd_agg(args: argparse.Namespace) -> int:
 
 
 def cmd_take_rows(args: argparse.Namespace) -> int:
-    _init_ray()
-    import ray.data as rd
-
     from rayenc.decode import take_rows
 
-    blocks = rd.read_parquet(os.path.join(args.blocks, "blocks"))
+    blocks = _job_blocks(args)
     idx = [int(x) for x in args.indices.split(",")]
     t = take_rows(
         blocks, idx, columns=args.columns.split(",") if args.columns else None
@@ -430,12 +428,9 @@ def cmd_take_rows(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _init_ray()
-    import ray.data as rd
-
     from rayenc.verify import verify_blocks
 
-    blocks = rd.read_parquet(os.path.join(args.blocks, "blocks"))
+    blocks = _job_blocks(args)
     # --hash-column "" means "no chain column" (same convention as
     # encode/compact): verify structure + zones only
     v = verify_blocks(

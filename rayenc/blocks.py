@@ -418,6 +418,19 @@ def decode_rows(blob: bytes | memoryview, indices) -> pa.Array:
     return decoded
 
 
+def empty_array(blob: bytes | memoryview) -> pa.Array:
+    """Zero-row array of a block's column type, named by the header
+    (a paged blob asks its first page). Only a type the header cannot
+    name (nested, dictionary) comes from decode_rows with no rows."""
+    header, _, sections = _parse_block(blob)
+    if header["codec"] == "paged" and "p0" in sections:
+        return empty_array(sections["p0"])
+    try:
+        return pa.array([], type=type_from_str(header["type"]))
+    except ValueError:
+        return decode_rows(blob, np.empty(0, dtype=np.int64))
+
+
 def _decode_list_rows(
     header: dict, validity: np.ndarray | None, sections: dict, indices: np.ndarray
 ) -> pa.Array:

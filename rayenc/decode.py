@@ -209,6 +209,41 @@ def zone_must_match(zone: dict, predicates: list[Predicate]) -> bool:
     return True
 
 
+# what a block's zone proves about a filter: no row, some rows (decode
+# to know) or every row matches
+ZONE_NONE, ZONE_SOME, ZONE_ALL = 0, 1, 2
+
+
+def zone_verdict(zone: dict, dnf: list[list[Predicate]] | None) -> int:
+    """ZONE_NONE when the zone proves no row can match the DNF, ZONE_ALL
+    when it proves every row does (or there is no filter), else
+    ZONE_SOME. The one may/must pairing of the zone-only aggregates."""
+    if dnf is None:
+        return ZONE_ALL
+    if not zone_may_match_any(zone, dnf):
+        return ZONE_NONE
+    if any(zone_must_match(zone, conj) for conj in dnf):
+        return ZONE_ALL
+    return ZONE_SOME
+
+
+def zone_keep_mask(batch: pa.Table, dnf: list[list[Predicate]]) -> pa.Array:
+    """Block-row mask over a batch of block rows: False where the row's
+    zonemap (min/max, Bloom, n-gram) proves no row of the block matches
+    the DNF. A missing zonemap keeps the block. The one block-prune rule
+    of every block reader; block rows are control-plane-tiny, so the
+    per-row JSON parse is not a hot path."""
+    zms = (
+        batch["zonemap"].to_pylist()
+        if "zonemap" in batch.column_names
+        else [None] * batch.num_rows
+    )
+    return pa.array(
+        [zone_may_match_any(json.loads(z) if z else {}, dnf) for z in zms],
+        type=pa.bool_(),
+    )
+
+
 def agg_count(
     blocks: "ray.data.Dataset", filter: list[Predicate] | None = None
 ) -> int:
@@ -240,12 +275,11 @@ def agg_count(
         names = set(batch.column_names)
         total = 0
         for i in range(len(batch)):
-            zone = _zone_at(batch, i)
-            n = int(batch["n_rows"][i].as_py()) if "n_rows" in names else 0
-            if not zone_may_match_any(zone, dnf):
+            verdict = zone_verdict(_zone_at(batch, i), dnf)
+            if verdict == ZONE_NONE:
                 continue
-            if any(zone_must_match(zone, conj) for conj in dnf):
-                total += n
+            if verdict == ZONE_ALL:
+                total += int(batch["n_rows"][i].as_py()) if "n_rows" in names else 0
                 continue
             # boundary block: decode predicate columns only, count exact
             decoded = dec(batch.slice(i, 1))
@@ -378,11 +412,11 @@ def agg_sum(
 
         for i in range(len(batch)):
             zone = _zone_at(batch, i)
-            if dnf is not None and not zone_may_match_any(zone, dnf):
+            verdict = zone_verdict(zone, dnf)
+            if verdict == ZONE_NONE:
                 continue
-            full = dnf is None or any(zone_must_match(zone, conj) for conj in dnf)
             z = zone.get(col)
-            if full and z is not None and "sum" in z:
+            if verdict == ZONE_ALL and z is not None and "sum" in z:
                 add(z["sum"])
                 continue
             # boundary block, or no stored sum (legacy/overflow/stats off):
@@ -620,17 +654,16 @@ def agg_topk(
             f"agg_topk: column(s) {missing} not in the block table "
             f"(have: {sorted(c[4:] for c in names if c.startswith('col_'))})"
         )
-    if dnf:
-        cols = {c[4:] for c in names if c.startswith("col_")}
-        for conj in dnf:
-            validate_predicate_shapes(conj, cols, "block table")
+    if filter:
+        validate_predicates(blocks, filter)
 
     # ---- phase 1: threshold from zonemaps (no blobs ship) ----
     def partial_threshold(batch: pa.Table) -> pa.Table:
         cands: list[tuple] = []
         for i in range(len(batch)):
             zone = _zone_at(batch, i)
-            if dnf is not None and not zone_may_match_any(zone, dnf):
+            verdict = zone_verdict(zone, dnf)
+            if verdict == ZONE_NONE:
                 continue  # provably empty under the filter: never decodes
             z = zone.get(col)
             if z is None:
@@ -639,9 +672,7 @@ def agg_topk(
                     f"zone for column {col!r} (stats='none' encode or "
                     "unordered type); decode_dataset + sort is the fallback"
                 )
-            if dnf is not None and not any(
-                zone_must_match(zone, conj) for conj in dnf
-            ):
+            if verdict == ZONE_SOME:
                 # only fully-matching blocks give GUARANTEED results —
                 # a maybe-matching block cannot tighten the threshold
                 continue
@@ -691,67 +722,55 @@ def agg_topk(
         tau = None  # fewer than k non-null values exist: decode everything
 
     # ---- phase 2: decode candidates only, partial then global top-k ----
-    def keep(batch: pa.Table) -> pa.Table:
-        if "zonemap" not in batch.column_names:
-            return batch
-        mask = []
-        for zm in batch["zonemap"].to_pylist():
-            zone = json.loads(zm) if zm else {}
-            if dnf is not None and not zone_may_match_any(zone, dnf):
-                mask.append(False)  # provably no matching row
-                continue
-            if tau is None:
-                mask.append(True)
-                continue
-            z = zone.get(col) or {}
-            edge = z.get("max") if descending else z.get("min")
-            other = z.get("min") if descending else z.get("max")
-            if edge is None:
-                # no usable bound: ALL-NULL blocks (both bounds None)
-                # cannot place, but a block with values and only the
-                # needed bound missing (a >64-char string max whose
-                # truncated prefix cannot be bumped) MUST decode — its
-                # unbounded values may be the top of the table
-                mask.append(other is not None)
-            else:
-                mask.append(edge >= tau if descending else edge <= tau)
-        return batch.filter(pa.array(mask, type=pa.bool_()))
+    def may_place(zm: str | None) -> bool:
+        z = (json.loads(zm) if zm else {}).get(col) or {}
+        edge = z.get("max") if descending else z.get("min")
+        if edge is None:
+            # no usable bound: ALL-NULL blocks (both bounds None) cannot
+            # place, but a block with values and only the needed bound
+            # missing (a >64-char string max whose truncated prefix
+            # cannot be bumped) MUST decode — its unbounded values may
+            # be the top of the table
+            return (z.get("min") if descending else z.get("max")) is not None
+        return edge >= tau if descending else edge <= tau
+
+    # filter= engages zone and page pruning; decode_blocks runs the exact
+    # DNF after the decode (pages are supersets)
+    decoder = BlockDecoder(columns=need, filter=filter)
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        if dnf is not None:
-            batch = filter_table_dnf(batch, dnf)
-        batch = batch.filter(pc.is_valid(batch[col]))
-        return batch.sort_by(sort_keys).slice(0, k)
+        cand = batch
+        if tau is not None:
+            cand = batch.filter(pa.array(
+                [may_place(zm) for zm in batch["zonemap"].to_pylist()],
+                type=pa.bool_(),
+            ))
+        out = decode_blocks(decoder, cand) if cand.num_rows else decoder.empty(batch)
+        out = out.filter(pc.is_valid(out[col]))
+        return out.sort_by(sort_keys).slice(0, k)
 
     block_cols = ["block_id", "zonemap", "n_rows"] + [f"col_{c}" for c in need]
-    dec = (
+    top = (
         blocks.select_columns(block_cols)
-        .map_batches(keep, batch_format="pyarrow")
-        # filter= engages sub-block page pruning on stats='page' encodes;
-        # the exact DNF still runs in partial_topk (pages are supersets)
-        .map_batches(
-            BlockDecoder(columns=need, filter=filter), batch_format="pyarrow"
-        )
         .map_batches(partial_topk, batch_format="pyarrow")
+        .sort(
+            [c for c, _ in sort_keys],
+            descending=[d == "descending" for _, d in sort_keys],
+        )
+        .limit(k)
     )
-    top = dec.sort(
-        [c for c, _ in sort_keys],
-        descending=[d == "descending" for _, d in sort_keys],
-    ).limit(k)
     # k rows: final result, driver-sized by contract. Arrow batches keep
     # the decoded schema exactly (from_pylist would re-infer types and
     # could change a timestamp unit)
     batches = list(top.iter_batches(batch_size=None, batch_format="pyarrow"))
     if batches:
         return pa.concat_tables(batches).select(out_cols)
-    # legitimate empty result (all-null column): concat_tables([]) would
-    # raise — derive the typed empty schema by decoding one block's rows
-    # and slicing to zero
-    probe_rows = blocks.select_columns(block_cols).take(1)
-    if not probe_rows:
+    # legitimate empty result (all-null column, or no row matches): the
+    # sort drops zero-row blocks' schema, so type it from one block row
+    empty = _typed_empty(blocks, need)
+    if empty is None:
         raise ValueError("agg_topk: the block table has no blocks")
-    probe = BlockDecoder(columns=need)(pa.Table.from_pylist(probe_rows))
-    return probe.slice(0, 0).select(out_cols)
+    return empty.select(out_cols)
 
 
 def validate_predicate_shapes(
@@ -808,23 +827,17 @@ def validate_predicates(
 def prune_blocks(
     blocks: "ray.data.Dataset", predicates: list[Predicate]
 ) -> "ray.data.Dataset":
-    """Zone-map pruning: drop block rows the predicates prove empty —
-    BEFORE any blob leaves the block table (the reference's
-    stats-granularity axis applied at our block level). Block rows are
-    control-plane-tiny, so the per-row JSON parse is not a hot path."""
-
+    """Zone-map pruning as its own Ray Data operator: drop the block rows
+    the predicates prove empty (zone_keep_mask), the reference's
+    stats-granularity axis applied at our block level. decode_dataset
+    does not call it: its task prunes each batch itself (decode_blocks),
+    so a filtered read runs one execution. count_decoded_blocks counts
+    through it."""
     dnf = normalize_dnf(predicates)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        if "zonemap" not in batch.column_names:
-            return batch
-        mask = [
-            zone_may_match_any(json.loads(z) if z else {}, dnf)
-            for z in batch["zonemap"].to_pylist()
-        ]
-        return batch.filter(pa.array(mask, type=pa.bool_()))
-
-    return blocks.map_batches(keep, batch_format="pyarrow")
+    return blocks.map_batches(
+        lambda batch: batch.filter(zone_keep_mask(batch, dnf)),
+        batch_format="pyarrow",
+    )
 
 
 def _conjunction_mask(batch: pa.Table, predicates: list[Predicate]):
@@ -908,6 +921,17 @@ def filter_table_dnf(batch: pa.Table, dnf: list[list[Predicate]]) -> pa.Table:
     if m is None:
         return batch
     return batch.filter(pc.fill_null(m, False))
+
+
+# provenance columns of a with_provenance decode, in output order
+_PROVENANCE = {
+    "_block_id": pa.string(),
+    "_partition_id": pa.string(),
+    "_partition_seq": pa.int64(),
+    "_block_seq": pa.int64(),
+    "_row_in_block": pa.int64(),
+    "_row_start": pa.int64(),
+}
 
 
 class BlockDecoder:
@@ -1013,15 +1037,7 @@ class BlockDecoder:
             if name in decoded:
                 cols[name] = decoded[name]
                 continue
-            t = (self.fill_missing or {}).get(name)
-            if t is None:
-                raise ValueError(
-                    f"block {block_id} has no column {name!r} (schema "
-                    "evolution across encodes); pass fill_missing={name: "
-                    "arrow_type} / a schema to decode to nulls, or select "
-                    "columns= present in every block"
-                )
-            cols[name] = pa.nulls(n, type=t)
+            cols[name] = pa.nulls(n, type=self._fill_type(name, block_id))
         if self.with_provenance:
             rib = range(n or 0) if keep is None else keep
             # explicit types: a fully-page-pruned block has n == 0, and an
@@ -1045,7 +1061,8 @@ class BlockDecoder:
             )
         return pa.table(cols)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _names(self, batch: pa.Table) -> list[str]:
+        """Source columns this decoder gives for `batch`, in output order."""
         names = [c[4:] for c in batch.column_names if c.startswith("col_")]
         if self.fill_missing:
             # raw Dataset.union of mixed-version block tables can drop a
@@ -1054,89 +1071,126 @@ class BlockDecoder:
             # depend on which columns a given batch happens to carry, so
             # pin it to `columns` (or sorted) under fill_missing.
             names += [c for c in self.fill_missing if c not in names]
-            names = (
+            return (
                 [c for c in self.columns if c in names]
                 if self.columns
                 else sorted(names)
             )
-        elif self.columns:
-            names = [c for c in names if c in self.columns]
-        tables = []
+        if self.columns:
+            return [c for c in names if c in self.columns]
+        return names
+
+    def _fill_type(self, name: str, block_id: str) -> pa.DataType:
+        """Arrow type of a column a block predates, from `fill_missing`."""
+        t = (self.fill_missing or {}).get(name)
+        if t is None:
+            raise ValueError(
+                f"block {block_id} has no column {name!r} (schema "
+                "evolution across encodes); pass fill_missing={name: "
+                "arrow_type} / a schema to decode to nulls, or select "
+                "columns= present in every block"
+            )
+        return t
+
+    def empty(self, batch: pa.Table) -> pa.Table:
+        """Zero-row table with the schema this decoder gives `batch`:
+        each column typed from the header of its first blob in the batch
+        (no payload decodes), a column no block carries from
+        `fill_missing`. A batch without block rows has no header to read
+        and gives a zero-column table."""
+        from .blocks import empty_array
+
+        if not batch.num_rows:
+            return pa.table({})
+        names = self._names(batch)
+        cols: dict[str, pa.Array] = {}
+        for name, col in zip(names, _blob_columns(batch, names)):
+            blob = next((b for i in range(batch.num_rows)
+                         if (b := _blob(col, i)) is not None), None)
+            cols[name] = (
+                empty_array(blob) if blob is not None
+                else pa.nulls(0, self._fill_type(name, batch["block_id"][0].as_py()))
+            )
+        if self.with_provenance:
+            cols.update({c: pa.array([], type=t) for c, t in _PROVENANCE.items()})
+        return pa.table(cols)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        names = self._names(batch)
+        blob_cols = _blob_columns(batch, names)
+
+        def meta(col: str, default) -> list:
+            if col in batch.column_names:
+                return batch[col].to_pylist()
+            return [default] * batch.num_rows
+
         ids = batch["block_id"].to_pylist()
-        seqs = batch["block_seq"].to_pylist() if "block_seq" in batch.column_names else [0] * len(ids)
-        pids = (
-            batch["partition_id"].to_pylist()
-            if "partition_id" in batch.column_names
-            else [""] * len(ids)
+        seqs, pids, pseqs, rstarts, nrows_col = (
+            meta(c, d) for c, d in (("block_seq", 0), ("partition_id", ""),
+                                    ("partition_seq", 0), ("row_start", None),
+                                    ("n_rows", None))
         )
-        pseqs = (
-            batch["partition_seq"].to_pylist()
-            if "partition_seq" in batch.column_names
-            else [0] * len(ids)
-        )
-        rstarts = (
-            batch["row_start"].to_pylist()
-            if "row_start" in batch.column_names
-            else [None] * len(ids)
-        )
-        nrows_col = (
-            batch["n_rows"].to_pylist()
-            if "n_rows" in batch.column_names
-            else [None] * len(ids)
-        )
-        batch_cols = set(batch.column_names)
+        tables = []
         for i in range(batch.num_rows):
-            # as_buffer(): zero-copy view of the (multi-MB) block blob;
-            # a null cell (column absent when this block was encoded)
-            # passes None so decode_block_row can null-fill it
-            blobs = []
-            for name in names:
-                key = f"col_{name}"
-                cell = batch[key][i] if key in batch_cols else None
-                blobs.append(
-                    memoryview(cell.as_buffer())
-                    if cell is not None and cell.is_valid
-                    else None
-                )
             self._cur_partition_seq = pseqs[i]
             self._cur_row_start = rstarts[i]
-            tables.append(
-                self.decode_block_row(
-                    names, blobs, ids[i], seqs[i], pids[i], nrows_col[i]
-                )
-            )
+            tables.append(self.decode_block_row(
+                names, [_blob(c, i) for c in blob_cols], ids[i], seqs[i],
+                pids[i], nrows_col[i],
+            ))
         if not tables:
-            # zero block rows in this batch (or no col_* survived the
-            # projection): return an empty table rather than letting
-            # concat_tables([]) raise
-            return pa.table({})
+            return self.empty(batch)  # zero block rows in this batch
         return pa.concat_tables(tables)
 
 
-# provenance columns of a with_provenance decode, in output order
-_PROVENANCE = (
-    "_block_id",
-    "_partition_id",
-    "_partition_seq",
-    "_block_seq",
-    "_row_in_block",
-    "_row_start",
-)
+def _blob_columns(batch: pa.Table, names: list[str]) -> list:
+    """Each source column's col_* blob column in `batch` (None if absent)."""
+    return [batch[f"col_{n}"] if f"col_{n}" in batch.column_names else None
+            for n in names]
+
+
+def _blob(column, i: int) -> memoryview | None:
+    """Zero-copy view of block row i's (multi-MB) blob; None for a null
+    cell or an absent column (the block predates it)."""
+    cell = None if column is None else column[i]
+    return memoryview(cell.as_buffer()) if cell is not None and cell.is_valid else None
+
+
+def decode_blocks(dec: BlockDecoder, batch: pa.Table,
+                  project: list[str] | None = None) -> pa.Table:
+    """One batch of block rows -> its matching source rows, the body of
+    every filtered block reader: zone-prune the block rows by the
+    decoder's filter, decode the survivors (page-pruned), run the exact
+    row filter (pages are supersets) and the projection that drops
+    filter-only columns. When no row survives, the result is a zero-row
+    table of the projected schema, typed from the blob headers."""
+    if dec.filter:
+        kept = batch.filter(zone_keep_mask(batch, dec.filter))
+        out = dec(kept) if kept.num_rows else dec.empty(batch)
+        if out.num_rows:
+            out = filter_table_dnf(out, dec.filter)
+    else:
+        out = dec(batch)
+    if project is not None:
+        out = out.select([c for c in project if c in out.column_names])
+    return out
+
+
+def decode_columns(columns: list[str] | None, filter) -> list[str] | None:
+    """Decode set of a read: `columns` widened by the filter's columns,
+    which must decode for the exact row filter even when projected out
+    of the result (the projection drops them after it). None = all."""
+    if not (columns and filter):
+        return columns
+    extra = {c for conj in normalize_dnf(filter) for c, _, _ in conj}
+    return list(columns) + sorted(extra - set(columns))
 
 
 def _decode_task(batch: pa.Table, stage_class: type, ctor_kwargs: dict,
                  op_token: str, project: list[str] | None) -> pa.Table:
-    """Ray Data task body of decode_dataset: the read's BlockDecoder
-    (built once per worker per read), then the exact row filter (the
-    decoder's page pruning returns a superset) and the projection that
-    drops filter-only columns."""
-    dec = slot_stage(stage_class, ctor_kwargs, op_token)
-    out = dec(batch)
-    if dec.filter and out.num_columns:
-        out = filter_table_dnf(out, dec.filter)
-    if project is not None:
-        out = out.select([c for c in project if c in out.column_names])
-    return out
+    """Ray Data task body of decode_dataset: decode_blocks with the
+    read's BlockDecoder, built once per worker per read."""
+    return decode_blocks(slot_stage(stage_class, ctor_kwargs, op_token), batch, project)
 
 
 def decode_dataset(
@@ -1152,34 +1206,31 @@ def decode_dataset(
     `filter` is a conjunction of (col, op, value) predicates — or a
     DISJUNCTION of conjunctions (list of lists, DNF: [[a, b], [c]] =
     (a AND b) OR c) — applied in three stages: zone-map pruning drops
-    whole blocks by min/max + Bloom before their blobs ship (strictly
-    fewer blocks decoded — measurable via count_decoded_blocks),
-    page-zone pruning inside surviving blocks decodes only matchable
-    pages (stats="page" encodes), then the exact row filter runs after
-    decode. Ops: ==, !=, <, <=, >, >=, "in" (list of values; Bloom and
-    zone pruning both understand it), "prefix" (zone-prunable), and
-    "contains" (substring; block-prunable via per-block n-gram Bloom
-    filters on tables encoded with ngram=True).
+    whole blocks by min/max + Bloom before any of their blobs decode
+    (strictly fewer blocks decoded — measurable via
+    count_decoded_blocks), page-zone pruning inside surviving blocks
+    decodes only matchable pages (stats="page" encodes), then the exact
+    row filter runs after decode. Ops: ==, !=, <, <=, >, >=, "in" (list
+    of values; Bloom and zone pruning both understand it), "prefix"
+    (zone-prunable), and "contains" (substring; block-prunable via
+    per-block n-gram Bloom filters on tables encoded with ngram=True).
 
     `fill_missing` enables schema-evolution reads: a union of block
     tables written across pipeline versions (read_blocks([dir_v1,
     dir_v2])) null-fills columns a block predates, using the given
     {column: arrow type} map (or schema) for the null arrays.
 
-    The decode, the exact row filter and the projection run in one Ray
-    Data task per batch of blocks, on reused task workers (no actor
-    pool). `concurrency` caps the tasks in flight: an int as given, a
-    (min, max) pair its upper bound, None no cap (Ray Data sizes it)."""
+    The zone prune, the decode, the exact row filter and the projection
+    run in one Ray Data task per batch of blocks (decode_blocks), on
+    reused task workers (no actor pool), so a filtered read is one Ray
+    Data execution. A batch with no surviving row yields a zero-row
+    table of the projected schema. `concurrency` caps the tasks in
+    flight: an int as given, a (min, max) pair its upper bound, None no
+    cap (Ray Data sizes it)."""
     if filter:
         validate_predicates(blocks, filter)
-        blocks = prune_blocks(blocks, filter)
-    decode_cols, project = columns, None
+    decode_cols, project = decode_columns(columns, filter), None
     if columns and filter:
-        # filter columns must decode even when projected out of the
-        # result — widen the decode set, drop the extras after filtering
-        flat = [p for conj in normalize_dnf(filter) for p in conj]
-        extra = [c for c, _, _ in flat if c not in columns]
-        decode_cols = columns + sorted(set(extra))
         project = list(columns) + (list(_PROVENANCE) if with_provenance else [])
     if decode_cols and blocks.schema() is not None:
         # block-level projection pushdown: only the requested columns'
@@ -1202,11 +1253,8 @@ def decode_dataset(
                 f"table (have: {sorted(have)}); pass fill_missing for "
                 "columns a block legitimately predates"
             )
-        keep = ["block_id"] + [
-            c
-            for c in ("partition_id", "partition_seq", "block_seq", "n_rows", "row_start")
-            if c in names
-        ]
+        keep = ["block_id", "partition_id", "partition_seq", "block_seq",
+                "n_rows", "row_start"] + (["zonemap"] if filter else [])
         keep += [f"col_{c}" for c in decode_cols]
         blocks = blocks.select_columns([c for c in keep if c in names])
     return map_stage(
@@ -1266,30 +1314,23 @@ def explain_decode(
         tb = kb = 0  # total / kept blocks
         tbytes = kbytes = 0  # all-column blob bytes total / surviving blocks
         trows = krows = 0  # rows total / page-kept within survivors
+        kept = zone_keep_mask(batch, dnf).to_pylist()
+        pred_blobs = _blob_columns(batch, pred_cols)
         for i in range(len(batch)):
             tb += 1
             row_bytes = int(blob_lens[i])
             tbytes += row_bytes
-            zone = _zone_at(batch, i)
             n = int(batch["n_rows"][i].as_py()) if "n_rows" in names else 0
             trows += n
-            if not zone_may_match_any(zone, dnf):
+            if not kept[i]:
                 continue
             kb += 1
             kbytes += row_bytes
-            pnames, pblobs = [], []
-            for c in pred_cols:
-                # zero-copy memoryview of the blob (the BlockDecoder
-                # idiom) — .as_py() copied every predicate blob to
-                # Python bytes just to read page headers
-                cell = None
-                if f"col_{c}" in names:
-                    scalar = batch.column(f"col_{c}")[i]
-                    if scalar.is_valid:
-                        cell = memoryview(scalar.as_buffer())
-                if cell is not None:
-                    pnames.append(c)
-                    pblobs.append(cell)
+            # zero-copy blob views: .as_py() copied every predicate blob
+            # to Python bytes just to read page headers
+            present = [(c, b) for c, col in zip(pred_cols, pred_blobs)
+                       if (b := _blob(col, i)) is not None]
+            pnames, pblobs = [c for c, _ in present], [b for _, b in present]
             if not n and pblobs:
                 n = block_codec(pblobs[0])["n"]
             keep = dec._page_keep(pnames, pblobs)
@@ -1480,98 +1521,46 @@ def take_rows(
         ) from None
     if len(idx) and (idx.min() < 0 or idx.max() >= total):
         raise IndexError(f"row index out of range 0..{total - 1}")
+    all_names = [c[4:] for c in schema.names if c.startswith("col_")]
+    names = [c for c in all_names if c in columns] if columns else all_names
+    missing = sorted(set(columns or ()) - set(all_names))
+    if missing:
+        raise ValueError(f"columns not in the block table: {missing}")
+    if len(idx) == 0:
+        # empty selection: the caller still gets a correctly-typed table
+        empty = _typed_empty(blocks, names)
+        return pa.table({}) if empty is None else empty
     state = _ray.put((idx, bases))
-
     resolved: dict = {}  # per-task memo: one object-store fetch per pick
     # task, not one per block row (the closure deserializes once per
-    # task, so this dict persists across the batch's locate calls)
-
-    def locate_fast(batch: pa.Table, i: int):
-        if "s" not in resolved:
-            resolved["s"] = _ray.get(state)
-        w_idx, bs = resolved["s"]
-        gs = bs[int(batch["partition_seq"][i].as_py())] + int(
-            batch["row_start"][i].as_py()
-        )
-        m = (w_idx >= gs) & (w_idx < gs + int(batch["n_rows"][i].as_py()))
-        if not m.any():
-            return None
-        return w_idx[m] - gs, np.nonzero(m)[0]
-
-    return _finish_take_rows(
-        blocks,
-        idx,
-        columns,
-        locate_fast,
-        meta_cols=["partition_seq", "row_start", "n_rows"],
-    )
-
-
-def _finish_take_rows(
-    blocks: "ray.data.Dataset",
-    idx,
-    columns: list[str] | None,
-    locate,
-    meta_cols: list[str],
-) -> pa.Table:
-    """Shared tail of take_rows: one pick closure for both layouts,
-    parameterized by `locate(batch, i) -> (local_indices, positions) |
-    None`. Projects the block table to the requested col_* plus
-    `meta_cols` BEFORE the map, so unrequested multi-MB blobs never ship
-    to the pick tasks (the decode_dataset pruning rule applied here)."""
-    import numpy as np
-
-    schema_names = blocks.schema().names
-    all_names = [c[4:] for c in schema_names if c.startswith("col_")]
-    names = [c for c in all_names if c in columns] if columns else all_names
-    if columns:
-        missing = sorted(set(columns) - set(all_names))
-        if missing:
-            raise ValueError(f"columns not in the block table: {missing}")
-    if len(idx) == 0:
-        # empty selection: decode zero rows of the first block so the
-        # caller still gets a correctly-typed empty table
-        from .blocks import decode_rows as _dr
-
-        first_rows = blocks.select_columns(
-            [f"col_{n}" for n in names]
-        ).take(1)
-        if not first_rows:
-            return pa.table({})  # empty block table: nothing to type
-        first = first_rows[0]
-        cols = {}
-        for name in names:
-            cell = first.get(f"col_{name}")
-            if cell is None:
-                raise ValueError(
-                    f"block table's first block has no column {name!r} "
-                    "(schema-evolution union); pass columns= present in "
-                    "every block"
-                )
-            cols[name] = _dr(memoryview(cell), np.empty(0, np.int64))
-        return pa.table(cols)
+    # task, so this dict persists across the batch's rows)
 
     def pick(batch: pa.Table) -> pa.Table:
         from .blocks import decode_rows as _dr
 
+        if "s" not in resolved:
+            resolved["s"] = _ray.get(state)
+        w_idx, bs = resolved["s"]
         out = []
         for i in range(batch.num_rows):
-            hit = locate(batch, i)
-            if hit is None:
+            gs = bs[int(batch["partition_seq"][i].as_py())] + int(
+                batch["row_start"][i].as_py()
+            )
+            m = (w_idx >= gs) & (w_idx < gs + int(batch["n_rows"][i].as_py()))
+            if not m.any():
                 continue
-            li, poss = hit
             cols = {
-                name: _dr(memoryview(batch[f"col_{name}"][i].as_buffer()), li)
+                name: _dr(memoryview(batch[f"col_{name}"][i].as_buffer()), w_idx[m] - gs)
                 for name in names
             }
-            cols["_pos"] = pa.array(np.asarray(poss, np.int64), type=pa.int64())
+            cols["_pos"] = pa.array(np.flatnonzero(m), type=pa.int64())
             out.append(pa.table(cols))
-        if not out:
-            return pa.table({})
-        return pa.concat_tables(out)
+        return pa.concat_tables(out) if out else pa.table({})
 
+    # project to the requested col_* BEFORE the map, so unrequested
+    # multi-MB blobs never ship to the pick tasks
     projected = blocks.select_columns(
-        meta_cols + [f"col_{n}" for n in names]
+        ["partition_seq", "row_start", "n_rows"] + [f"col_{n}" for n in names]
     )
     parts = [
         t
@@ -1584,6 +1573,16 @@ def _finish_take_rows(
         raise ValueError("no rows selected")
     res = pa.concat_tables(parts).sort_by("_pos")
     return res.drop_columns(["_pos"])
+
+
+def _typed_empty(blocks: "ray.data.Dataset", names: list[str]) -> pa.Table | None:
+    """Zero-row table of source columns `names`, typed from the blob
+    headers of the first block row (one limit-1 read, no payload
+    decode); None for an empty block table."""
+    rows = blocks.select_columns(["block_id"] + [f"col_{n}" for n in names]).take(1)
+    if not rows:
+        return None
+    return BlockDecoder(columns=names).empty(pa.Table.from_pylist(rows))
 
 
 def attach_global_row_numbers(

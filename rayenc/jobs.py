@@ -1233,7 +1233,7 @@ class _PartitionRewriter(_PartitionStage):
         self.dec = BlockDecoder()
 
     def _run(self, entry: dict) -> dict:
-        from .decode import dnf_mask, zone_may_match_any
+        from .decode import dnf_mask, zone_keep_mask
 
         pid = entry["partition_id"]
         # finish a crashed attempt's commit BEFORE the zone scan: the
@@ -1254,11 +1254,9 @@ class _PartitionRewriter(_PartitionStage):
         zonly = pq.read_table(
             entry["output"], columns=["zonemap", "block_seq"]
         ).sort_by("block_seq")
-        candidates = [
-            i
-            for i, z in enumerate(zonly["zonemap"].to_pylist())
-            if zone_may_match_any(json.loads(z) if z else {}, self.dnf)
-        ]
+        candidates = np.flatnonzero(
+            zone_keep_mask(zonly, self.dnf).to_numpy(zero_copy_only=False)
+        ).tolist()
         if not candidates:
             return untouched
         old = pq.read_table(entry["output"]).sort_by("block_seq")
@@ -1487,22 +1485,17 @@ def update_rows(
                         "pending enrich_many first"
                     )
     if entries:
-        # type gate at the driver, BEFORE any partition rewrites: decode
-        # one block row's target columns and refuse un-SET-table scalars
-        # and scrub on non-string columns here (a task-side failure
-        # would leave some partitions rewritten, some not)
+        # type gate at the driver, BEFORE any partition rewrites: type
+        # the target columns from one block row's blob headers and
+        # refuse un-SET-table scalars and scrub on non-string columns
+        # here (a task-side failure would leave some partitions
+        # rewritten, some not)
         from .decode import BlockDecoder
 
-        # prune the probe read: meta columns + only the target blobs
-        # (a full read would pull every encoded blob of the partition
-        # into the driver just to decode one block row)
-        names = pq.read_schema(entries[0]["output"]).names
-        keep = [c for c in names if not c.startswith("col_")] + [
-            c for c in names if c.startswith("col_") and c[4:] in targets
-        ]
-        probe = BlockDecoder(columns=targets)(
-            pq.read_table(entries[0]["output"], columns=keep).slice(0, 1)
-        )
+        probe = BlockDecoder(columns=targets).empty(pq.read_table(
+            entries[0]["output"],
+            columns=["block_id"] + [f"col_{c}" for c in targets],
+        ).slice(0, 1))
         for c, v in (set_values or {}).items():
             t = probe.schema.field(c).type
             try:
@@ -2049,9 +2042,10 @@ def check_export_job(out_root: str | os.PathLike, params: dict) -> None:
 
 class PartitionExporter(_PartitionStage):
     """Partition stage of run_export_job: one committed block partition
-    id in -> one published parquet of original rows out. Decode reuses
-    the exact decode_dataset semantics locally: zone/Bloom prune ->
-    page-pruned BlockDecoder -> exact DNF row filter -> projection.
+    id in -> one published parquet of original rows out. The decode is
+    decode_dataset's own task body (decode.decode_blocks) over the
+    partition's block table: zone/Bloom prune -> page-pruned
+    BlockDecoder -> exact DNF row filter -> projection.
 
     Memory bound: one partition's decoded rows live in the task at once
     (<= max_partition_bytes source bytes, 256 MiB at defaults) — the
@@ -2067,7 +2061,7 @@ class PartitionExporter(_PartitionStage):
         partition_by: list[str] | None = None,
         chaos_dir: str | None = None,
     ):
-        from .decode import BlockDecoder, normalize_dnf
+        from .decode import BlockDecoder, decode_columns
 
         self.chaos_dir = chaos_dir
 
@@ -2076,20 +2070,12 @@ class PartitionExporter(_PartitionStage):
         self.out_root.mkdir(parents=True, exist_ok=True)
         self.columns = columns
         self.partition_by = list(partition_by) if partition_by else None
-        self.dnf = normalize_dnf(row_filter) if row_filter else None
-        decode_cols = columns
-        if columns and self.dnf:
-            # filter columns must decode even when projected out
-            flat = [pr for conj in self.dnf for pr in conj]
-            decode_cols = columns + sorted(
-                {c for c, _, _ in flat if c not in columns}
-            )
-        self.core = BlockDecoder(columns=decode_cols, filter=row_filter)
-        self.decode_cols = decode_cols  # None = all source columns
+        self.decode_cols = decode_columns(columns, row_filter)  # None = all
+        self.core = BlockDecoder(columns=self.decode_cols, filter=row_filter)
         self.ordered = ordered
 
     def _run(self, pid: str) -> dict:
-        from .decode import filter_table_dnf, zone_may_match_any
+        from .decode import decode_blocks
 
         t0 = time.perf_counter()
         src = self.blocks_dir / f"{pid}.parquet"
@@ -2118,34 +2104,11 @@ class PartitionExporter(_PartitionStage):
             keep += [c for c in names if c.startswith("col_")
                      and c[4:] in self.decode_cols]
         blocks = pq.read_table(src, columns=keep)
-        blocks_all = blocks  # pre-prune reference for the empty-schema probe
         seq = int(blocks["partition_seq"][0].as_py()) if len(blocks) else 0
         if self.ordered:
             blocks = blocks.sort_by("block_seq")
-        if self.dnf:
-            mask = [
-                zone_may_match_any(json.loads(z) if z else {}, self.dnf)
-                for z in blocks["zonemap"].to_pylist()
-            ]
-            blocks = blocks.filter(pa.array(mask, type=pa.bool_()))
-        if len(blocks):
-            dec = self.core(blocks)
-        else:
-            dec = None  # every block pruned: publish an empty (0-row) file
-        if dec is not None and self.dnf:
-            dec = filter_table_dnf(dec, self.dnf)
-        if dec is not None and self.columns:
-            dec = dec.select(self.columns)
-        if dec is None:
-            # every block pruned: the empty file still needs the decoded
-            # schema — derive it from one unpruned block row (already in
-            # memory; no second file read)
-            dec = self.core(blocks_all.slice(0, 1))
-            if self.dnf:
-                dec = filter_table_dnf(dec, self.dnf)
-            if self.columns:
-                dec = dec.select(self.columns)
-            dec = dec.slice(0, 0)
+        # every block pruned or every row filtered out: a typed 0-row file
+        dec = decode_blocks(self.core, blocks, self.columns)
         if self.partition_by:
             self._write_partitioned(dec, seq, pid, done_marker)
         else:
@@ -2336,14 +2299,15 @@ def run_export_job(
                     f"(have: {sorted(have)})"
                 )
             # key-TYPE gate at the driver, BEFORE the record is written
-            # and any task decodes a whole partition: decode one block
-            # row's key columns and refuse float/nested keys here (the
-            # in-task check stays as defense in depth)
+            # and any task decodes a whole partition: type the key
+            # columns from one block row's blob headers and refuse
+            # float/nested keys here (the in-task check stays as defense
+            # in depth)
             from .decode import BlockDecoder
 
-            probe = BlockDecoder(columns=list(partition_by))(
-                pq.read_table(str(first)).slice(0, 1)
-            )
+            probe = BlockDecoder(columns=list(partition_by)).empty(pq.read_table(
+                str(first), columns=["block_id"] + [f"col_{c}" for c in partition_by]
+            ).slice(0, 1))
             for c in partition_by:
                 f = probe.schema.field(c)
                 if pa.types.is_floating(f.type) or pa.types.is_nested(f.type):
