@@ -15,7 +15,9 @@ Row order is stable within a block and blocks carry
 from __future__ import annotations
 
 import json
-from typing import Any
+import operator
+import pickle
+from typing import Any, Callable
 
 import numpy as np
 import pyarrow as pa
@@ -244,6 +246,71 @@ def zone_keep_mask(batch: pa.Table, dnf: list[list[Predicate]]) -> pa.Array:
     )
 
 
+def _zone_at(batch: pa.Table, i: int) -> dict:
+    """Parsed zonemap dict for block row i ({} when the column is absent
+    or the cell is null) — the one copy of the idiom every metadata fold
+    must apply identically."""
+    zm = batch["zonemap"][i].as_py() if "zonemap" in batch.column_names else None
+    return json.loads(zm) if zm else {}
+
+
+def _n_rows(batch: pa.Table, i: int) -> int:
+    """Stored row count of block row i (0 when the column is absent)."""
+    return int(batch["n_rows"][i].as_py()) if "n_rows" in batch.column_names else 0
+
+
+def _merge_all(parts, merge: Callable):
+    """Fold the non-None partials with `merge`, in order, as they come;
+    None when there are none."""
+    acc = None
+    for p in parts:
+        if p is not None:
+            acc = p if acc is None else merge(acc, p)
+    return acc
+
+
+def _fold_blocks(blocks: "ray.data.Dataset", cols: list[str] | None,
+                 part: Callable, merge: Callable):
+    """The one block-metadata fold behind every zone aggregate: project
+    the block table to `cols` (None keeps every column), run one Ray
+    Data task per batch of block rows that calls `part(batch, i, zone)`
+    for each row (None = the block contributes nothing) and folds the
+    results with `merge` into one partial, then fold the tasks' partials
+    on the driver with the SAME `merge`. The driver sees one row per
+    batch, never one per block. None when no block contributed (or the
+    block table is empty)."""
+    schema = blocks.schema()
+    if schema is None:
+        return None
+    if cols is not None:
+        blocks = blocks.select_columns([c for c in cols if c in schema.names])
+
+    def task(batch: pa.Table) -> pa.Table:
+        acc = _merge_all(
+            (part(batch, i, _zone_at(batch, i)) for i in range(batch.num_rows)),
+            merge,
+        )
+        return pa.table({"p": pa.array([pickle.dumps(acc)], type=pa.binary())})
+
+    rows = blocks.map_batches(task, batch_format="pyarrow").take_all()
+    return _merge_all((pickle.loads(r["p"]) for r in rows), merge)
+
+
+def _filter_plan(blocks: "ray.data.Dataset", filter) -> tuple:
+    """(DNF or None, sorted predicate columns) of a reader's filter,
+    validated on the driver first (validate_predicates)."""
+    if not filter:
+        return None, []
+    validate_predicates(blocks, filter)
+    dnf = normalize_dnf(filter)
+    return dnf, sorted({c for conj in dnf for (c, _, _) in conj})
+
+
+# metadata projection of the zone-only folds: without it every multi-MB
+# col_* blob ships through the fold tasks to read a few zone fields
+_META = ["block_id", "zonemap", "n_rows"]
+
+
 def agg_count(
     blocks: "ray.data.Dataset", filter: list[Predicate] | None = None
 ) -> int:
@@ -255,38 +322,26 @@ def agg_count(
     On a sorted 100 TB table a range count touches two boundary blocks'
     worth of payload; everything else is metadata arithmetic. Unfiltered,
     it is a pure n_rows sum."""
-    if not filter:
-        n = blocks.sum("n_rows")  # Ray returns None on an EMPTY dataset
-        return int(n) if n is not None else 0
     if blocks.schema() is None:  # empty block table: nothing to count
         return 0
-    validate_predicates(blocks, filter)
-    dnf = normalize_dnf(filter)
-    pred_cols = sorted({c for conj in dnf for (c, _, _) in conj})
+    dnf, pred_cols = _filter_plan(blocks, filter)
+    dec = BlockDecoder(columns=pred_cols, filter=dnf)
+
+    def part(batch: pa.Table, i: int, zone: dict) -> int | None:
+        verdict = zone_verdict(zone, dnf)
+        if verdict == ZONE_NONE:
+            return None
+        if verdict == ZONE_ALL:
+            return _n_rows(batch, i)
+        # boundary block: decode predicate columns only, count exact
+        return len(filter_table_dnf(dec(batch.slice(i, 1)), dnf))
+
     # projection pushdown: only predicate-column blobs + stats travel —
     # non-predicate payload (e.g. a multi-MB content column) never ships
-    keep = ["block_id", "zonemap", "n_rows"] + [f"col_{c}" for c in pred_cols]
-    blocks = blocks.select_columns(
-        [c for c in keep if c in blocks.schema().names]
-    )
-
-    def part(batch: pa.Table) -> pa.Table:
-        dec = BlockDecoder(columns=pred_cols, filter=dnf)
-        names = set(batch.column_names)
-        total = 0
-        for i in range(len(batch)):
-            verdict = zone_verdict(_zone_at(batch, i), dnf)
-            if verdict == ZONE_NONE:
-                continue
-            if verdict == ZONE_ALL:
-                total += int(batch["n_rows"][i].as_py()) if "n_rows" in names else 0
-                continue
-            # boundary block: decode predicate columns only, count exact
-            decoded = dec(batch.slice(i, 1))
-            total += len(filter_table_dnf(decoded, dnf))
-        return pa.table({"c": pa.array([total], type=pa.int64())})
-
-    return int(blocks.map_batches(part, batch_format="pyarrow").sum("c"))
+    cols = ["block_id", "n_rows"] + (["zonemap"] if dnf else [])
+    return _fold_blocks(
+        blocks, cols + [f"col_{c}" for c in pred_cols], part, operator.add
+    ) or 0
 
 
 def agg_min_max(blocks: "ray.data.Dataset", col: str) -> dict:
@@ -298,72 +353,39 @@ def agg_min_max(blocks: "ray.data.Dataset", col: str) -> dict:
     any block lacks a zone for the column (stats='none' encode, nested/
     binary type) — silently decoding there would defeat the contract."""
 
-    def part(batch: pa.Table) -> pa.Table:
-        names = set(batch.column_names)
-        lo = hi = None
-        nulls = rows = 0
-        for i in range(len(batch)):
-            zone = _zone_at(batch, i)
-            z = zone.get(col)
-            if z is None:
-                raise ValueError(
-                    f"agg_min_max: block {batch['block_id'][i].as_py()!r} has "
-                    f"no zone for column {col!r} (stats='none' encode or "
-                    "unordered type); decode_dataset + an exact aggregate "
-                    "is the fallback"
-                )
-            if z.get("approx"):
-                # truncated string bounds (>64-char values): sound for
-                # pruning, but fabricated strings for an EXACT aggregate
-                raise ValueError(
-                    f"agg_min_max: block {batch['block_id'][i].as_py()!r}'s "
-                    f"zone for {col!r} has truncated string bounds; "
-                    "decode_dataset + an exact aggregate is the fallback"
-                )
-            rows += int(batch["n_rows"][i].as_py()) if "n_rows" in names else 0
-            nulls += int(z.get("null_count", 0))
-            zlo, zhi = z.get("min"), z.get("max")
-            if zlo is not None:
-                lo = zlo if lo is None or zlo < lo else lo
-            if zhi is not None:
-                hi = zhi if hi is None or zhi > hi else hi
-        return pa.table(
-            {
-                "part": pa.array(
-                    [json.dumps({"min": lo, "max": hi, "nulls": nulls, "rows": rows})],
-                    type=pa.string(),
-                )
-            }
-        )
+    def part(batch: pa.Table, i: int, zone: dict) -> tuple:
+        z = zone.get(col)
+        if z is None:
+            raise ValueError(
+                f"agg_min_max: block {batch['block_id'][i].as_py()!r} has "
+                f"no zone for column {col!r} (stats='none' encode or "
+                "unordered type); decode_dataset + an exact aggregate "
+                "is the fallback"
+            )
+        if z.get("approx"):
+            # truncated string bounds (>64-char values): sound for
+            # pruning, but fabricated strings for an EXACT aggregate
+            raise ValueError(
+                f"agg_min_max: block {batch['block_id'][i].as_py()!r}'s "
+                f"zone for {col!r} has truncated string bounds; "
+                "decode_dataset + an exact aggregate is the fallback"
+            )
+        return (z.get("min"), z.get("max"), int(z.get("null_count", 0)),
+                _n_rows(batch, i))
 
-    # metadata projection: without it every multi-MB col_* blob ships
-    # through the fold tasks just to read a few zone fields per block
-    schema = blocks.schema()
-    if schema is not None:
-        blocks = blocks.select_columns(
-            [c for c in ("block_id", "zonemap", "n_rows") if c in schema.names]
-        )
-    parts = [
-        json.loads(r["part"])
-        for r in blocks.map_batches(part, batch_format="pyarrow").take_all()
-    ]
-    lo = hi = None
-    for p in parts:
-        if p["min"] is not None:
-            lo = p["min"] if lo is None or p["min"] < lo else lo
-        if p["max"] is not None:
-            hi = p["max"] if hi is None or p["max"] > hi else hi
+    def merge(a: tuple, b: tuple) -> tuple:
+        lo = [v for v in (a[0], b[0]) if v is not None]
+        hi = [v for v in (a[1], b[1]) if v is not None]
+        return (min(lo, default=None), max(hi, default=None),
+                a[2] + b[2], a[3] + b[3])
+
+    lo, hi, nulls, rows = _fold_blocks(blocks, _META, part, merge) or (None, None, 0, 0)
     # all-NaN float blocks store the inf/-inf FOLD IDENTITIES (they prune
     # comparisons soundly); if they survive to here every block was
     # all-NaN and the honest exact answer is "no orderable values"
     if isinstance(lo, float) and isinstance(hi, float) and lo > hi:
         lo = hi = None
-    return {
-        "min": lo,
-        "max": hi,
-        "null_count": sum(p["nulls"] for p in parts),
-        "n_rows": sum(p["rows"] for p in parts),
-    }
+    return {"min": lo, "max": hi, "null_count": nulls, "n_rows": rows}
 
 
 def agg_sum(
@@ -388,80 +410,50 @@ def agg_sum(
     over zero rows is None."""
     if blocks.schema() is None:  # empty block table: SUM over zero rows
         return None
-    if filter:
-        validate_predicates(blocks, filter)
-    dnf = normalize_dnf(filter) if filter else None
-    pred_cols = sorted({c for conj in dnf for (c, _, _) in conj}) if dnf else []
+    dnf, pred_cols = _filter_plan(blocks, filter)
     need_cols = sorted(set(pred_cols) | {col})
-    keep = ["block_id", "zonemap", "n_rows"] + [f"col_{c}" for c in need_cols]
-    blocks = blocks.select_columns(
-        [c for c in keep if c in blocks.schema().names]
+    dec = BlockDecoder(columns=need_cols, filter=dnf)
+
+    def part(batch: pa.Table, i: int, zone: dict) -> int | float | None:
+        verdict = zone_verdict(zone, dnf)
+        if verdict == ZONE_NONE:
+            return None
+        z = zone.get(col)
+        if verdict == ZONE_ALL and z is not None and "sum" in z:
+            return z["sum"]
+        # boundary block, or no stored sum (legacy/overflow/stats off):
+        # decode col (+ predicates), filter exact, sum exact
+        try:
+            decoded = dec(batch.slice(i, 1))
+        except Exception as e:
+            raise ValueError(
+                f"agg_sum: block {batch['block_id'][i].as_py()!r} has no "
+                f"stored sum for {col!r} and decoding it failed: {e}"
+            ) from e
+        if dnf is not None:
+            decoded = filter_table_dnf(decoded, dnf)
+        t = decoded[col].type
+        if not (
+            pa.types.is_integer(t)
+            or pa.types.is_floating(t)
+            or pa.types.is_boolean(t)
+        ):
+            raise ValueError(
+                f"agg_sum: column {col!r} is {t} — SUM is defined for "
+                "numeric/bool columns only"
+            )
+        if pa.types.is_floating(t):
+            return pc.sum(decoded[col]).as_py()
+        # Python-int fold: pc.sum silently WRAPS int64 — and the blocks
+        # on this path are exactly the ones whose stored zone sum was
+        # skipped for worst-case overflow risk. Boundary blocks are few
+        # by design, so the Python sum is off the hot path.
+        vals = decoded[col].drop_null().to_pylist()
+        return sum(vals) if vals else None
+
+    return _fold_blocks(
+        blocks, _META + [f"col_{c}" for c in need_cols], part, operator.add
     )
-
-    def part(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        dec = BlockDecoder(columns=need_cols, filter=dnf)
-        names = set(batch.column_names)
-        total = None  # SQL: SUM over no rows is NULL
-
-        def add(v):
-            nonlocal total
-            if v is not None:
-                total = v if total is None else total + v
-
-        for i in range(len(batch)):
-            zone = _zone_at(batch, i)
-            verdict = zone_verdict(zone, dnf)
-            if verdict == ZONE_NONE:
-                continue
-            z = zone.get(col)
-            if verdict == ZONE_ALL and z is not None and "sum" in z:
-                add(z["sum"])
-                continue
-            # boundary block, or no stored sum (legacy/overflow/stats off):
-            # decode col (+ predicates), filter exact, sum exact
-            try:
-                decoded = dec(batch.slice(i, 1))
-            except Exception as e:
-                raise ValueError(
-                    f"agg_sum: block {batch['block_id'][i].as_py()!r} has no "
-                    f"stored sum for {col!r} and decoding it failed: {e}"
-                ) from e
-            if dnf is not None:
-                decoded = filter_table_dnf(decoded, dnf)
-            t = decoded[col].type
-            if not (
-                pa.types.is_integer(t)
-                or pa.types.is_floating(t)
-                or pa.types.is_boolean(t)
-            ):
-                raise ValueError(
-                    f"agg_sum: column {col!r} is {t} — SUM is defined for "
-                    "numeric/bool columns only"
-                )
-            if pa.types.is_floating(t):
-                s = pc.sum(decoded[col]).as_py()
-            else:
-                # Python-int fold: pc.sum silently WRAPS int64 — and the
-                # blocks on this path are exactly the ones whose stored
-                # zone sum was skipped for worst-case overflow risk.
-                # Boundary blocks are few by design, so the Python sum is
-                # off the hot path.
-                vals = decoded[col].drop_null().to_pylist()
-                s = sum(vals) if vals else None
-            add(s)
-        return pa.table({"s": pa.array([json.dumps(total)], type=pa.string())})
-
-    parts = [
-        json.loads(r["s"])
-        for r in blocks.map_batches(part, batch_format="pyarrow").take_all()
-    ]
-    total = None
-    for p in parts:
-        if p is not None:
-            total = p if total is None else total + p
-    return total
 
 
 def agg_approx_distinct(blocks: "ray.data.Dataset", col: str) -> float:
@@ -473,62 +465,40 @@ def agg_approx_distinct(blocks: "ray.data.Dataset", col: str) -> float:
     the data would give (~±2% at the default b=10), for the price of
     one ~1.4 KB metadata fold per block. Raises when any block lacks
     the sketch (hll=False encode, unsupported type, or a mixed-version
-    job dir) — a partial fold would silently under-count.
+    job dir) or when blocks carry sketches of different precisions — a
+    partial fold would silently under-count.
 
     The 100 TB shape: each task folds its batch of block rows to ONE
-    register row; the driver folds n_tasks rows of 2^b bytes each.
+    register array; the driver folds n_tasks arrays of 2^b bytes each.
     """
     import base64
 
-    import numpy as np
+    def part(batch: pa.Table, i: int, zone: dict) -> np.ndarray:
+        h = zone.get("__hll__", {}).get(col)
+        if h is None:
+            raise ValueError(
+                f"agg_approx_distinct: block {batch['block_id'][i].as_py()!r} "
+                f"has no HLL sketch for column {col!r} (encode with "
+                "hll=True; stages.sketch.approx_distinct over "
+                "decode_dataset is the fallback)"
+            )
+        return np.frombuffer(base64.b64decode(h), dtype=np.uint8)
 
-    def part(batch: pa.Table) -> pa.Table:
-        regs = None
-        for i in range(len(batch)):
-            h = _zone_at(batch, i).get("__hll__", {}).get(col)
-            if h is None:
-                raise ValueError(
-                    f"agg_approx_distinct: block {batch['block_id'][i].as_py()!r} "
-                    f"has no HLL sketch for column {col!r} (encode with "
-                    "hll=True; stages.sketch.approx_distinct over "
-                    "decode_dataset is the fallback)"
-                )
-            r = np.frombuffer(base64.b64decode(h), dtype=np.uint8)
-            regs = r.copy() if regs is None else np.maximum(regs, r)
-        return pa.table({"regs": pa.array(
-            [regs.tobytes() if regs is not None else b""], type=pa.binary()
-        )})
-
-    parts = (
-        blocks.select_columns(["block_id", "zonemap"])
-        .map_batches(part, batch_format="pyarrow")
-        .take_all()
-    )
-    regs = None
-    for p in parts:
-        if len(p["regs"]) == 0:
-            continue
-        r = np.frombuffer(p["regs"], dtype=np.uint8)
-        if regs is not None and len(r) != len(regs):
+    def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if len(a) != len(b):
             raise ValueError(
                 "agg_approx_distinct: blocks carry HLL sketches of different "
-                f"precisions ({len(regs)} vs {len(r)} registers) — mixed "
+                f"precisions ({len(a)} vs {len(b)} registers) — mixed "
                 "hll_b encodes cannot merge; re-encode or compact to one b"
             )
-        regs = r.copy() if regs is None else np.maximum(regs, r)
+        return np.maximum(a, b)
+
+    regs = _fold_blocks(blocks, ["block_id", "zonemap"], part, merge)
     if regs is None:
         return 0.0
     from .stages.sketch import hll_estimate
 
     return hll_estimate(regs)
-
-
-def _zone_at(batch: pa.Table, i: int) -> dict:
-    """Parsed zonemap dict for block row i ({} when the column is absent
-    or the cell is null) — the one copy of the idiom every metadata fold
-    must apply identically."""
-    zm = batch["zonemap"][i].as_py() if "zonemap" in batch.column_names else None
-    return json.loads(zm) if zm else {}
 
 
 def agg_approx_quantiles(
@@ -542,54 +512,36 @@ def agg_approx_quantiles(
     would (<~1% at the default k=128). Temporal columns answer on their
     epoch-int view (the zone convention). Raises when any block lacks
     the sketch (kll=False encode, non-numeric column, or a mixed-version
-    dir) — a partial fold would silently skew the ranks.
+    dir) or when blocks carry sketches of different k — a partial fold
+    would silently skew the ranks.
 
     The 100 TB shape: each metadata task folds its batch of block rows
-    to ONE merged sketch row; the driver folds n_tasks sketches."""
+    to ONE merged sketch; the driver folds n_tasks sketches."""
     from .stages.sketch import KllSketch
 
-    def part(batch: pa.Table) -> pa.Table:
-        merged = None
-        for i in range(len(batch)):
-            s = _zone_at(batch, i).get("__kll__", {}).get(col)
-            if s is None:
-                raise ValueError(
-                    f"agg_approx_quantiles: block "
-                    f"{batch['block_id'][i].as_py()!r} has no KLL sketch for "
-                    f"column {col!r} (encode with kll=True; "
-                    "stages.sketch.approx_quantiles over decode_dataset is "
-                    "the fallback)"
-                )
-            sk = KllSketch.from_json(s)
-            if merged is not None and sk.k != merged.k:
-                raise ValueError(
-                    f"agg_approx_quantiles: blocks carry KLL sketches of "
-                    f"different k ({merged.k} vs {sk.k}) — merging would "
-                    "silently degrade the rank-error bound; re-encode or "
-                    "compact to one kll_k"
-                )
-            merged = sk if merged is None else merged.merge(sk)
-        return pa.table({"sk": pa.array(
-            [merged.to_json() if merged is not None else ""], type=pa.string()
-        )})
+    def part(batch: pa.Table, i: int, zone: dict) -> KllSketch:
+        s = zone.get("__kll__", {}).get(col)
+        if s is None:
+            raise ValueError(
+                f"agg_approx_quantiles: block "
+                f"{batch['block_id'][i].as_py()!r} has no KLL sketch for "
+                f"column {col!r} (encode with kll=True; "
+                "stages.sketch.approx_quantiles over decode_dataset is "
+                "the fallback)"
+            )
+        return KllSketch.from_json(s)
 
-    parts = (
-        blocks.select_columns(["block_id", "zonemap"])
-        .map_batches(part, batch_format="pyarrow")
-        .take_all()
-    )
-    merged = None
-    for p in parts:
-        if not p["sk"]:
-            continue
-        sk = KllSketch.from_json(p["sk"])
-        if merged is not None and sk.k != merged.k:
+    def merge(a: KllSketch, b: KllSketch) -> KllSketch:
+        if a.k != b.k:
             raise ValueError(
                 f"agg_approx_quantiles: blocks carry KLL sketches of "
-                f"different k ({merged.k} vs {sk.k}) — mixed kll_k encodes "
-                "cannot merge; re-encode or compact to one k"
+                f"different k ({a.k} vs {b.k}) — merging would silently "
+                "degrade the rank-error bound; re-encode or compact to "
+                "one kll_k"
             )
-        merged = sk if merged is None else merged.merge(sk)
+        return a.merge(b)
+
+    merged = _fold_blocks(blocks, ["block_id", "zonemap"], part, merge)
     if merged is None:
         return [float("nan")] * len(qs)
     return merged.quantiles(qs)
@@ -618,11 +570,12 @@ def agg_topk(
     the other bound. Truncated string bounds only widen the candidate
     set, never drop a true result.
 
-    Two-phase shape: phase 1 ships zonemaps only, each metadata task
-    pre-folds its batch to <= the blocks covering k rows, the driver
-    folds those partials to tau. Phase 2 decodes candidate blocks'
-    needed columns, keeps a per-batch partial top-k, and a final
-    distributed sort+limit over <= n_batches*k rows returns the k rows.
+    Two-phase shape: phase 1 folds zonemaps only (_fold_blocks): each
+    block offers its (bound, non-null rows), and the merge keeps the
+    fewest blocks, by bound, that cover k rows; tau is the last bound
+    kept. Phase 2 decodes candidate blocks' needed columns, keeps a
+    per-batch partial top-k, and a final distributed sort+limit over <=
+    n_batches*k rows returns the k rows.
 
     Nulls sort last (SQL NULLS LAST: never in the top k while k non-null
     values exist). `tie_cols` (ascending) break ties deterministically —
@@ -643,9 +596,7 @@ def agg_topk(
     sort_keys = [(col, "descending" if descending else "ascending")] + [
         (c, "ascending") for c in (tie_cols or []) if c != col
     ]
-    dnf = normalize_dnf(filter) if filter else None
-    pred_cols = sorted({c for conj in dnf for (c, _, _) in conj}) if dnf else []
-    need = sorted(set(out_cols) | {c for c, _ in sort_keys} | set(pred_cols))
+    need = sorted(set(out_cols) | {c for c, _ in sort_keys})
     names = blocks.schema().names
     missing = [c for c in need if f"col_{c}" not in names]
     if missing:
@@ -654,72 +605,59 @@ def agg_topk(
             f"agg_topk: column(s) {missing} not in the block table "
             f"(have: {sorted(c[4:] for c in names if c.startswith('col_'))})"
         )
-    if filter:
-        validate_predicates(blocks, filter)
+    dnf, pred_cols = _filter_plan(blocks, filter)
+    need = sorted(set(need) | set(pred_cols))
 
     # ---- phase 1: threshold from zonemaps (no blobs ship) ----
-    def partial_threshold(batch: pa.Table) -> pa.Table:
-        cands: list[tuple] = []
-        for i in range(len(batch)):
-            zone = _zone_at(batch, i)
-            verdict = zone_verdict(zone, dnf)
-            if verdict == ZONE_NONE:
-                continue  # provably empty under the filter: never decodes
-            z = zone.get(col)
-            if z is None:
-                raise ValueError(
-                    f"agg_topk: block {batch['block_id'][i].as_py()!r} has no "
-                    f"zone for column {col!r} (stats='none' encode or "
-                    "unordered type); decode_dataset + sort is the fallback"
-                )
-            if verdict == ZONE_SOME:
-                # only fully-matching blocks give GUARANTEED results —
-                # a maybe-matching block cannot tighten the threshold
-                continue
-            bound = z["min"] if descending else z["max"]
-            nc = z.get("null_count")
-            if nc is None:
-                # a zone without a null count cannot GUARANTEE non-null
-                # rows (zone_must_match's safe-default-1 lesson): skip it
-                # from the threshold; phase 2 still decodes it
-                continue
-            nn = int(batch["n_rows"][i].as_py()) - int(nc)
-            if isinstance(bound, float):
-                # NaN rows sort last (arrow ordering) yet are skipped by
-                # the zone bounds — only finite rows are guaranteed >=
-                # the bound. Legacy float zones without a NaN count give
-                # no guarantee at all.
-                nan = z.get("nan")
-                if nan is None:
-                    continue
-                nn -= int(nan)
-            if bound is None or nn <= 0:
-                continue
-            cands.append((bound, nn))
-        cands.sort(key=lambda t: t[0], reverse=descending)
+    def part(batch: pa.Table, i: int, zone: dict) -> list | None:
+        verdict = zone_verdict(zone, dnf)
+        if verdict == ZONE_NONE:
+            return None  # provably empty under the filter: never decodes
+        z = zone.get(col)
+        if z is None:
+            raise ValueError(
+                f"agg_topk: block {batch['block_id'][i].as_py()!r} has no "
+                f"zone for column {col!r} (stats='none' encode or "
+                "unordered type); decode_dataset + sort is the fallback"
+            )
+        if verdict == ZONE_SOME:
+            # only fully-matching blocks give GUARANTEED results —
+            # a maybe-matching block cannot tighten the threshold
+            return None
+        bound = z["min"] if descending else z["max"]
+        nc = z.get("null_count")
+        if nc is None:
+            # a zone without a null count cannot GUARANTEE non-null
+            # rows (zone_must_match's safe-default-1 lesson): skip it
+            # from the threshold; phase 2 still decodes it
+            return None
+        nn = _n_rows(batch, i) - int(nc)
+        if isinstance(bound, float):
+            # NaN rows sort last (arrow ordering) yet are skipped by
+            # the zone bounds — only finite rows are guaranteed >=
+            # the bound. Legacy float zones without a NaN count give
+            # no guarantee at all.
+            nan = z.get("nan")
+            if nan is None:
+                return None
+            nn -= int(nan)
+        if bound is None or nn <= 0:
+            return None
+        return [(bound, nn)]
+
+    def cover(a: list, b: list) -> list:
+        # the blocks, best bound first, whose non-null rows first cover k
         keep, cum = [], 0
-        for bound, nn in cands:
+        for bound, nn in sorted(a + b, key=lambda t: t[0], reverse=descending):
             keep.append((bound, nn))
             cum += nn
             if cum >= k:
                 break
-        return pa.table({"part": pa.array([json.dumps(keep)], type=pa.string())})
+        return keep
 
-    # materialize the METADATA projection once (control-plane rows): the
-    # threshold pass must not re-execute a lazy upstream pipeline that
-    # phase 2 will run again (take_rows pins for the same reason; here
-    # only the tiny zonemap columns pin, never the blobs)
-    meta = blocks.select_columns(["block_id", "zonemap", "n_rows"]).materialize()
-    parts = meta.map_batches(partial_threshold, batch_format="pyarrow").take_all()
-    cands = [t for p in parts for t in json.loads(p["part"])]
-    cands.sort(key=lambda t: t[0], reverse=descending)
-    tau, cum = None, 0
-    for bound, nn in cands:
-        tau, cum = bound, cum + nn
-        if cum >= k:
-            break
-    if cum < k:
-        tau = None  # fewer than k non-null values exist: decode everything
+    cands = _fold_blocks(blocks, _META, part, cover) or []
+    # fewer than k non-null values exist: no threshold, decode everything
+    tau = cands[-1][0] if sum(nn for _, nn in cands) >= k else None
 
     # ---- phase 2: decode candidates only, partial then global top-k ----
     def may_place(zm: str | None) -> bool:
@@ -749,9 +687,8 @@ def agg_topk(
         out = out.filter(pc.is_valid(out[col]))
         return out.sort_by(sort_keys).slice(0, k)
 
-    block_cols = ["block_id", "zonemap", "n_rows"] + [f"col_{c}" for c in need]
     top = (
-        blocks.select_columns(block_cols)
+        blocks.select_columns(_META + [f"col_{c}" for c in need])
         .map_batches(partial_topk, batch_format="pyarrow")
         .sort(
             [c for c, _ in sort_keys],
@@ -831,8 +768,8 @@ def prune_blocks(
     the predicates prove empty (zone_keep_mask), the reference's
     stats-granularity axis applied at our block level. decode_dataset
     does not call it: its task prunes each batch itself (decode_blocks),
-    so a filtered read runs one execution. count_decoded_blocks counts
-    through it."""
+    so a filtered read runs one execution, and count_decoded_blocks
+    folds the same verdict without it (_fold_blocks)."""
     dnf = normalize_dnf(predicates)
     return blocks.map_batches(
         lambda batch: batch.filter(zone_keep_mask(batch, dnf)),
@@ -1278,78 +1215,54 @@ def count_decoded_blocks(
     blocks: "ray.data.Dataset", filter: list[Predicate] | None = None
 ) -> dict:
     """(total_blocks, decoded_blocks) a filtered decode would touch —
-    the prune-effectiveness metric the zone-map oracle asserts on."""
-    total = blocks.count()
-    kept = prune_blocks(blocks, filter).count() if filter else total
-    return {"total_blocks": total, "decoded_blocks": kept}
+    the prune-effectiveness metric the zone-map oracle asserts on. One
+    zonemap-only fold over the block table."""
+    dnf = normalize_dnf(filter) if filter else None
+
+    def part(batch: pa.Table, i: int, zone: dict) -> np.ndarray:
+        return np.array([1, zone_verdict(zone, dnf) != ZONE_NONE], dtype=np.int64)
+
+    sums = _fold_blocks(blocks, ["block_id", "zonemap"], part, operator.add)
+    total, kept = (0, 0) if sums is None else sums
+    return {"total_blocks": int(total), "decoded_blocks": int(kept)}
 
 
 def explain_decode(
     blocks: "ray.data.Dataset", filter: list[Predicate] | None
 ) -> dict:
     """Prune-effectiveness report for a filtered decode, computed
-    DISTRIBUTED over the block table (the driver sees one summed row):
-    how many blocks survive zone+Bloom pruning, how many pages (and
-    rows) inside the survivors the page index would actually decode,
-    and the blob bytes each stage would ship. Run this before pointing
-    a selective decode at a 100 TB block table — a filter that prunes
-    nothing is a full-table scan wearing a WHERE clause."""
+    DISTRIBUTED over the block table (the driver sees one row per
+    batch): how many blocks survive zone+Bloom pruning, how many pages
+    (and rows) inside the survivors the page index would actually
+    decode, and the blob bytes each stage would ship. Run this before
+    pointing a selective decode at a 100 TB block table — a filter that
+    prunes nothing is a full-table scan wearing a WHERE clause."""
     if not filter:
         raise ValueError("explain_decode needs a filter to explain")
-    validate_predicates(blocks, filter)
-    dnf = normalize_dnf(filter)
-    pred_cols = sorted({c for conj in dnf for (c, _, _) in conj})
+    dnf, pred_cols = _filter_plan(blocks, filter)
     dec = BlockDecoder(filter=dnf)
 
-    def stats(batch: pa.Table) -> pa.Table:
+    def part(batch: pa.Table, i: int, zone: dict) -> np.ndarray:
         from .blocks import block_codec
 
-        names = batch.column_names
-        col_names = [c for c in names if c.startswith("col_")]
-        # vectorized blob sizes — never copy payload bytes to Python here
-        blob_lens = np.zeros(len(batch), dtype=np.int64)
-        for c in col_names:
-            ln = pc.fill_null(pc.binary_length(batch[c]), 0)
-            blob_lens += ln.to_numpy(zero_copy_only=False).astype(np.int64)
-        tb = kb = 0  # total / kept blocks
-        tbytes = kbytes = 0  # all-column blob bytes total / surviving blocks
-        trows = krows = 0  # rows total / page-kept within survivors
-        kept = zone_keep_mask(batch, dnf).to_pylist()
-        pred_blobs = _blob_columns(batch, pred_cols)
-        for i in range(len(batch)):
-            tb += 1
-            row_bytes = int(blob_lens[i])
-            tbytes += row_bytes
-            n = int(batch["n_rows"][i].as_py()) if "n_rows" in names else 0
-            trows += n
-            if not kept[i]:
-                continue
-            kb += 1
-            kbytes += row_bytes
-            # zero-copy blob views: .as_py() copied every predicate blob
-            # to Python bytes just to read page headers
-            present = [(c, b) for c, col in zip(pred_cols, pred_blobs)
-                       if (b := _blob(col, i)) is not None]
-            pnames, pblobs = [c for c, _ in present], [b for _, b in present]
-            if not n and pblobs:
-                n = block_codec(pblobs[0])["n"]
-            keep = dec._page_keep(pnames, pblobs)
-            krows += n if keep is None else len(keep)
-        return pa.table(
-            {
-                "total_blocks": pa.array([tb], type=pa.int64()),
-                "kept_blocks": pa.array([kb], type=pa.int64()),
-                "total_blob_bytes": pa.array([tbytes], type=pa.int64()),
-                "kept_blob_bytes": pa.array([kbytes], type=pa.int64()),
-                "total_rows": pa.array([trows], type=pa.int64()),
-                "page_kept_rows": pa.array([krows], type=pa.int64()),
-            }
-        )
+        # zero-copy blob views: never copy payload bytes to Python here
+        nbytes = sum(len(b) for c in batch.column_names if c.startswith("col_")
+                     and (b := _blob(batch[c], i)) is not None)
+        n = _n_rows(batch, i)
+        if zone_verdict(zone, dnf) == ZONE_NONE:
+            return np.array([1, 0, nbytes, 0, n, 0], dtype=np.int64)
+        present = [(c, b) for c, col in zip(pred_cols, _blob_columns(batch, pred_cols))
+                   if (b := _blob(col, i)) is not None]
+        pblobs = [b for _, b in present]
+        keep = dec._page_keep([c for c, _ in present], pblobs)
+        rows = n or (block_codec(pblobs[0])["n"] if pblobs else 0)
+        return np.array([1, 1, nbytes, nbytes, n, rows if keep is None else len(keep)],
+                        dtype=np.int64)
 
     cols = ["total_blocks", "kept_blocks", "total_blob_bytes",
             "kept_blob_bytes", "total_rows", "page_kept_rows"]
-    summed = blocks.map_batches(stats, batch_format="pyarrow").sum(cols)
-    out = {c: int(summed[f"sum({c})"]) for c in cols}
+    sums = _fold_blocks(blocks, None, part, operator.add)
+    out = {c: int(v) for c, v in zip(cols, [0] * len(cols) if sums is None else sums)}
     out["block_prune_ratio"] = round(
         1 - out["kept_blocks"] / max(out["total_blocks"], 1), 4
     )
@@ -1377,33 +1290,41 @@ class RowStartRequired(ValueError):
         )
 
 
-class _RowStartUnavailable(Exception):
-    """row_start is in the schema but null for some blocks (e.g. a union
-    of unordered `encode_dataset` blocks with ordered ones: schema
-    unification null-fills the blocks that lack it). Callers surface
-    this as RowStartRequired."""
+def _partition_bases(
+    blocks: "ray.data.Dataset",
+) -> tuple["ray.data.Dataset", dict, int]:
+    """(blocks, partition_seq -> global base row, total rows): the one
+    prologue of every global-row-number reader. A lazy `blocks` is
+    materialized once and returned pinned, because the caller runs more
+    passes over it (schema probe, this aggregate, its decode) and each
+    would re-run the encode. An empty block table has no bases ({}, 0).
+    Blocks without `row_start` raise RowStartRequired.
 
-
-def _partition_bases(blocks: "ray.data.Dataset") -> tuple[dict, int]:
-    """(partition_seq -> global base row, total rows) from a DISTRIBUTED
-    per-partition aggregate.
-
-    The groupby shuffles only int64 meta columns and yields
-    n_partitions rows — manifest-sized, a few bytes per input shard —
-    so the driver never materializes per-BLOCK metadata (VERDICT r3 #6:
-    the old take_all of (partition_seq, block_seq, n_rows) was
-    O(n_blocks) driver rows — tens of millions at 100 TB / 8k-row
-    blocks).
+    The bases come from a DISTRIBUTED per-partition aggregate. The
+    groupby shuffles only int64 meta columns and yields n_partitions
+    rows — manifest-sized, a few bytes per input shard — so the driver
+    never materializes per-BLOCK metadata (VERDICT r3 #6: the old
+    take_all of (partition_seq, block_seq, n_rows) was O(n_blocks)
+    driver rows — tens of millions at 100 TB / 8k-row blocks).
 
     The same aggregate carries two integrity checks that replace the
     legacy path's per-block total-order guard: a null count of
-    row_start (unordered blocks unioned with ordered ones ->
-    _RowStartUnavailable, surfaced as RowStartRequired) and
-    per-partition coverage (sum of block rows must equal the
+    row_start (unordered blocks unioned with ordered ones: schema
+    unification null-fills the blocks that lack it -> RowStartRequired)
+    and per-partition coverage (sum of block rows must equal the
     partition's row_start span — duplicated blocks from unioned
     encodes, or a filtered blocks dataset, inflate/deflate the sum and
     raise instead of silently mis-addressing rows)."""
     from ray.data.aggregate import Max, Min, Sum
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(blocks, MaterializedDataset):
+        blocks = blocks.materialize()
+    schema = blocks.schema()
+    if schema is None:
+        return blocks, {}, 0
+    if "row_start" not in schema.names:
+        raise RowStartRequired("no row_start column in the block schema")
 
     def _meta(t: pa.Table) -> pa.Table:
         rs = t["row_start"]
@@ -1436,7 +1357,10 @@ def _partition_bases(blocks: "ray.data.Dataset") -> tuple[dict, int]:
         .take_all()
     )
     if any(int(r["sum(rs_null)"] or 0) > 0 for r in rows):
-        raise _RowStartUnavailable()
+        raise RowStartRequired(
+            "row_start is null on some blocks — unordered blocks mixed "
+            "with ordered ones"
+        )
     rows.sort(key=lambda r: r["partition_seq"])
     bases: dict = {}
     acc = 0
@@ -1472,7 +1396,7 @@ def _partition_bases(blocks: "ray.data.Dataset") -> tuple[dict, int]:
             )
         bases[int(r["partition_seq"])] = acc
         acc += total
-    return bases, acc
+    return blocks, bases, acc
 
 
 def take_rows(
@@ -1498,27 +1422,12 @@ def take_rows(
     import ray as _ray
 
     idx = np.asarray(indices, dtype=np.int64)
-    # multi-pass consumer (schema probe + bases groupby + the decode):
-    # on a LAZY blocks pipeline each pass would re-run the whole encode;
-    # pin it once (no-op when the caller already materialized)
-    from ray.data.dataset import MaterializedDataset
-
-    if not isinstance(blocks, MaterializedDataset):
-        blocks = blocks.materialize()
+    blocks, bases, total = _partition_bases(blocks)
     schema = blocks.schema()
     if schema is None:  # empty block table (e.g. everything filtered away)
         if len(idx) == 0:
             return pa.table({})
         raise IndexError("row index out of range: block table is empty")
-    if "row_start" not in schema.names:
-        raise RowStartRequired("no row_start column in the block schema")
-    try:
-        bases, total = _partition_bases(blocks)
-    except _RowStartUnavailable:
-        raise RowStartRequired(
-            "row_start is null on some blocks — unordered blocks mixed "
-            "with ordered ones"
-        ) from None
     if len(idx) and (idx.min() < 0 or idx.max() >= total):
         raise IndexError(f"row index out of range 0..{total - 1}")
     all_names = [c[4:] for c in schema.names if c.startswith("col_")]
@@ -1606,22 +1515,7 @@ def attach_global_row_numbers(
 
     import ray as _ray
 
-    # multi-pass consumer (schema probe + bases groupby + the decode):
-    # pin a lazy input once so each pass doesn't re-run the encode
-    from ray.data.dataset import MaterializedDataset
-
-    if not isinstance(blocks, MaterializedDataset):
-        blocks = blocks.materialize()
-    schema = blocks.schema()
-    if schema is None or "row_start" not in schema.names:
-        raise RowStartRequired("no row_start column in the block schema")
-    try:
-        bases, _total = _partition_bases(blocks)
-    except _RowStartUnavailable:
-        raise RowStartRequired(
-            "row_start is null on some blocks — unordered blocks mixed "
-            "with ordered ones"
-        ) from None
+    blocks, bases, _total = _partition_bases(blocks)
     ref = _ray.put(bases)
     dec = decode_dataset(
         blocks, columns=columns, with_provenance=True, concurrency=concurrency

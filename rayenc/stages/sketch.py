@@ -215,6 +215,12 @@ class KllSketch:
         sk.levels = [np.asarray(b, dtype=np.float64) for b in d["levels"]]
         return sk
 
+    def __reduce__(self):
+        # a pickled sketch travels as its JSON form, so one that crosses
+        # a process boundary restarts its compaction RNG from its seed,
+        # exactly like one read back from a zonemap or a partial column
+        return (KllSketch.from_json, (self.to_json(),))
+
 
 def approx_quantiles(
     ds: "ray.data.Dataset",

@@ -163,6 +163,16 @@ def test_agg_approx_distinct_mixed_precision_raises(ray_session):
     _, b2 = _hll_blocks(n=2_000, hll_b=8)
     with pytest.raises(ValueError, match="different.*precision"):
         agg_approx_distinct(b1.union(b2), "user")
+    # both precisions in ONE block table, so they meet inside one fold
+    # task rather than on the driver: the same named error, wrapped in
+    # Ray's task-error envelope
+    import ray
+
+    mixed = pa.concat_tables(
+        [t for b in (b1, b2) for t in ray.get(b.to_arrow_refs())]
+    )
+    with pytest.raises(Exception, match="different.*precision"):
+        agg_approx_distinct(rd.from_arrow(mixed), "user")
 
 
 def test_hll_reserved_column_name_raises(ray_session):
@@ -448,3 +458,71 @@ def test_agg_approx_quantiles_mixed_k_raises(ray_session):
     both = b1.union(b2)
     with pytest.raises(Exception, match="different k"):
         agg_approx_quantiles(both, "x", [0.5])
+
+
+def test_zone_folds_agree_across_batchings(ray_session, tmp_path):
+    """Every zone fold merges per block inside a task and per task on
+    the driver with one merge, so the answer cannot depend on how the
+    block table is cut into batches: the whole table as one batch and
+    one block per batch agree, and the exact aggregates equal pyarrow
+    over the source."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from rayenc import run_encode_job
+    from rayenc.decode import (agg_approx_distinct, agg_sum, agg_topk,
+                               count_decoded_blocks, explain_decode)
+
+    n = 1_000
+    ids = np.arange(n, dtype=np.int64)
+    t = pa.table({
+        "doc_id": pa.array(ids),
+        "v": pa.array(np.where(ids % 13 == 0, None, (ids * 7) % 500),
+                      type=pa.int64()),
+        "score": pa.array(((ids * 37) % 101) / 8),  # sums exactly in float
+        "name": pa.array([f"n{i % 50:03d}" for i in ids]),
+        "ts": pa.array(ids * 1_000, type=pa.timestamp("us")),
+    })
+    src = str(tmp_path / "src.parquet")
+    pq.write_table(t, src, row_group_size=250)
+    root = str(tmp_path / "job")
+    run_encode_job(src, root, block_rows=100, hash_column=None, hll=True,
+                   concurrency=1)
+    table = pq.read_table(root + "/blocks")  # 12 blocks in 4 partitions
+    whole = rd.from_arrow(table)
+    per_block = rd.from_arrow([table.slice(i, 1) for i in range(table.num_rows)])
+
+    rng = [("doc_id", ">=", 150), ("doc_id", "<", 730)]  # boundary blocks
+    dnf = [[("doc_id", "<", 120)], [("name", "==", "n007")]]
+    mask = pc.and_(pc.greater_equal(t["doc_id"], 150), pc.less(t["doc_id"], 730))
+
+    def answers(blocks):
+        return {
+            "count": agg_count(blocks, rng),
+            "count_dnf": agg_count(blocks, dnf),
+            "sum": agg_sum(blocks, "v", rng),
+            "sum_score": agg_sum(blocks, "score"),
+            "min_max": agg_min_max(blocks, "ts"),
+            "topk": agg_topk(blocks, "v", 5, tie_cols=["doc_id"],
+                             extra_cols=["doc_id"], filter=rng).to_pylist(),
+            "distinct": agg_approx_distinct(blocks, "name"),
+            "explain": explain_decode(blocks, rng),
+            "decoded": count_decoded_blocks(blocks, rng),
+        }
+
+    a, b = answers(whole), answers(per_block)
+    assert a == b
+    sel = t.filter(mask)
+    assert a["count"] == sel.num_rows
+    assert a["count_dnf"] == t.filter(pc.or_(
+        pc.less(t["doc_id"], 120), pc.equal(t["name"], "n007"))).num_rows
+    assert a["sum"] == pc.sum(sel["v"]).as_py()
+    assert a["sum_score"] == pc.sum(t["score"]).as_py()
+    ts = pc.min_max(t["ts"].cast(pa.int64()))
+    assert (a["min_max"]["min"], a["min_max"]["max"]) == (
+        ts["min"].as_py(), ts["max"].as_py())
+    want = sel.filter(pc.is_valid(sel["v"])).sort_by(
+        [("v", "descending"), ("doc_id", "ascending")])
+    assert a["topk"] == want.select(["v", "doc_id"]).slice(0, 5).to_pylist()
+    assert a["decoded"]["total_blocks"] == table.num_rows == 12
+    assert a["decoded"]["decoded_blocks"] == a["explain"]["kept_blocks"] == 8

@@ -104,7 +104,7 @@ def test_partition_bases_modular_checksum_at_huge_offsets(ray_session):
         for i in range(3)  # tiles [0, 4.5e9): end^2 wraps int64
     ]
     blocks = rd.from_arrow(pa.Table.from_pylist(rows))
-    bases, total = _partition_bases(blocks)
+    _, bases, total = _partition_bases(blocks)
     assert bases == {0: 0} and total == 3 * n
 
     bad = [dict(r) for r in rows]
