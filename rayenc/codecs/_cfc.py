@@ -16,6 +16,8 @@ import ctypes
 
 import numpy as np
 
+from ._cnative import compile_and_load, once
+
 _C_SRC = r"""
 #include <stdint.h>
 #include <string.h>
@@ -70,18 +72,9 @@ void fc_decode(const unsigned char *payload, const long long *prefs,
 }
 """
 
-_LIB = None
-_TRIED = False
-
-
+@once
 def get_lib():
     """ctypes handle to the kernel, or None when no toolchain exists."""
-    global _LIB, _TRIED
-    if _LIB is not None or _TRIED:
-        return _LIB
-    _TRIED = True
-    from ._cnative import compile_and_load
-
     lib = compile_and_load("rayenc_cfc", _C_SRC)
     if lib is None:
         return None
@@ -94,8 +87,7 @@ def get_lib():
     lib.fc_suffixes.argtypes = [U8P, LLP, LLP, LL, U8P]
     lib.fc_decode.restype = None
     lib.fc_decode.argtypes = [U8P, LLP, LLP, LLP, LL, U8P]
-    _LIB = lib
-    return _LIB
+    return lib
 
 
 def _c_buf(a: np.ndarray, dtype) -> np.ndarray:

@@ -20,6 +20,8 @@ import ctypes
 
 import numpy as np
 
+from ._cnative import compile_and_load, once
+
 _C_SRC = r"""
 #include <stdint.h>
 #include <string.h>
@@ -176,18 +178,9 @@ long long fsst_decode(const unsigned short *tokens, long long n_tokens,
 }
 """
 
-_LIB = None
-_TRIED = False
-
-
+@once
 def get_lib():
     """ctypes handle to the kernel, or None when no toolchain exists."""
-    global _LIB, _TRIED
-    if _LIB is not None or _TRIED:
-        return _LIB
-    _TRIED = True
-    from ._cnative import compile_and_load
-
     lib = compile_and_load("rayenc_cfsst", _C_SRC)
     if lib is None:
         return None
@@ -207,8 +200,7 @@ def get_lib():
     lib.fsst_unpack_expand.argtypes = [
         U8P, ctypes.c_int, LLP, LL, U8P, U8P, ctypes.c_int, U8P, LL, LLP,
     ]
-    _LIB = lib
-    return _LIB
+    return lib
 
 
 def pack_symbols(symbols: list[bytes]) -> tuple[np.ndarray, np.ndarray]:

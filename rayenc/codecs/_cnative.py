@@ -11,10 +11,12 @@ atomically published, so concurrent workers race safely.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 
 
 def _cache_dir() -> str:
@@ -69,3 +71,24 @@ def compile_and_load(prefix: str, c_src: str) -> ctypes.CDLL | None:
         return ctypes.CDLL(so_path)
     except Exception:
         return None
+
+
+def once(load):
+    """`load()` run once per process, its result (None included) kept:
+    the kernel loaders' memo. The first call loads under a lock, so
+    callers racing it (codec trials on a worker's pool threads) wait for
+    that one load instead of compiling into the same staging file or
+    reading a half-set result. A load that raises keeps nothing, so an
+    unsafe cache dir raises on every call."""
+    lock = threading.Lock()
+    done: list = []
+
+    @functools.wraps(load)
+    def get():
+        if not done:
+            with lock:
+                if not done:
+                    done.append(load())
+        return done[0]
+
+    return get

@@ -597,7 +597,10 @@ def agg_topk(
         (c, "ascending") for c in (tie_cols or []) if c != col
     ]
     need = sorted(set(out_cols) | {c for c, _ in sort_keys})
-    names = blocks.schema().names
+    schema = blocks.schema()
+    if schema is None:  # empty block table: no rows, and no types to give them
+        return pa.table({c: pa.nulls(0) for c in out_cols})
+    names = schema.names
     missing = [c for c in need if f"col_{c}" not in names]
     if missing:
         # fail fast ON THE DRIVER, before any phase runs in a worker
@@ -754,9 +757,11 @@ def validate_predicates(
     """Fail fast ON THE DRIVER for malformed filters (ADVICE r2): a
     predicate column with no col_* in the block table would silently
     never prune (missing zones) and then KeyError inside a Ray worker;
-    an unknown op string would die on _OPS[op] mid-pipeline."""
-    names = blocks.schema().names
-    cols = {c[4:] for c in names if c.startswith("col_")}
+    an unknown op string would die on _OPS[op] mid-pipeline. An empty
+    block table (no schema) has no columns to check membership against."""
+    schema = blocks.schema()
+    cols = ({c[4:] for c in schema.names if c.startswith("col_")}
+            if schema is not None else set())
     for conj in normalize_dnf(predicates):
         validate_predicate_shapes(conj, cols, "block table")
 

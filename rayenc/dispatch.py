@@ -10,16 +10,132 @@ one-slot dict keyed by a per-call token, so the stage is built once per
 worker per call and reused for every later batch of that call. Two
 dispatched stages chained in one pipeline would evict each other's
 slot and rebuild per batch; no rayenc pipeline chains two.
+
+A task may hold more than one CPU (the job partition stages reserve
+the cluster's CPUs their task cap leaves idle). It spends them through
+`fan_out`, on one long-lived pool of daemon threads per worker process:
+threads, not more worker processes, because each worker that has run a
+rayenc task holds a few hundred MB of imports, and one pool reused by
+every call, because a pool built per call leaves glibc malloc arenas
+behind in every worker that grow its memory by hundreds of MB.
 """
 
 from __future__ import annotations
 
+import queue
 import secrets
+import threading
+from concurrent.futures import Future
 
 # The stage of the operation this worker process last served:
 # op token -> stage object. One slot, so a new operation's token evicts
 # the previous operation's stage.
 _STAGE_SLOT: dict = {}
+
+
+# The worker's pool threads and the queue they take work from. Daemon
+# threads: a pool thread must never keep a worker process alive after
+# its driver and raylet are gone.
+_POOL_THREADS: list[threading.Thread] = []
+_POOL_JOBS: queue.SimpleQueue = queue.SimpleQueue()
+_POOL_LOCK = threading.Lock()
+# .busy: this thread is running `fan_out` work, so a fan-out it makes
+# runs serially (no pool thread ever waits on the pool)
+_LOCAL = threading.local()
+
+
+def pool_width() -> int:
+    """Threads a `fan_out` may use: the CPUs Ray assigned to the running
+    task or actor, and 1 outside one (the driver, tests)."""
+    try:
+        import ray
+        from ray._private.worker import WORKER_MODE, global_worker
+
+        # checked first: a runtime-context call would start Ray
+        if not ray.is_initialized() or global_worker.mode != WORKER_MODE:
+            return 1
+        return max(1, int(ray.get_runtime_context().get_assigned_resources().get("CPU", 1)))
+    except Exception:
+        return 1
+
+
+def _pool_loop() -> None:
+    while True:
+        fn, fut = _POOL_JOBS.get()
+        if fut.set_running_or_notify_cancel():
+            try:
+                fut.set_result(fn())
+            except BaseException as e:
+                fut.set_exception(e)
+
+
+def _pool_submit(fn, n: int) -> list[Future]:
+    """Run `fn` on `n` pool threads at once, growing the pool to `n`."""
+    with _POOL_LOCK:
+        while len(_POOL_THREADS) < n:
+            t = threading.Thread(target=_pool_loop, daemon=True,
+                                 name=f"rayenc-pool-{len(_POOL_THREADS)}")
+            t.start()
+            _POOL_THREADS.append(t)
+    futs = [Future() for _ in range(n)]
+    for f in futs:
+        _POOL_JOBS.put((fn, f))
+    return futs
+
+
+def fan_out(fn, items) -> list:
+    """`[fn(x) for x in items]` on up to `pool_width()` threads: the
+    calling thread and the worker's pool threads take items in order,
+    and the results come back in item order. A call from inside fan-out
+    work runs serially. When items fail, the first failing item's
+    exception is raised, as the serial loop would raise it."""
+    items = list(items)
+    width = 1 if getattr(_LOCAL, "busy", False) else min(len(items), pool_width())
+    if width <= 1:
+        return [fn(x) for x in items]
+    out: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    feed = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        _LOCAL.busy = True
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(feed, None)
+                if i is None:
+                    return
+                try:
+                    out[i] = fn(items[i])
+                except BaseException as e:
+                    with lock:
+                        errors[i] = e
+        finally:
+            _LOCAL.busy = False
+
+    futs = _pool_submit(drain, width - 1)
+    drain()
+    for f in futs:
+        f.result()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def largest_node_cpus() -> int:
+    """CPU count of the largest live node: the most one task can hold."""
+    import ray
+
+    return int(max((n["Resources"].get("CPU", 0) for n in ray.nodes() if n["Alive"]),
+                   default=1))
+
+
+def cpu_share(tasks: int, cpus: int, node_cpus: int) -> int:
+    """CPUs each of `tasks` concurrent tasks reserves: an even share of
+    the cluster's `cpus`, at least 1, and never more than the largest
+    node has (a larger request could never be scheduled)."""
+    return max(1, min(cpus // max(1, tasks), node_cpus))
 
 
 def slot_stage(stage_class: type, ctor_kwargs: dict, op_token: str):

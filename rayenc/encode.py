@@ -321,8 +321,6 @@ class BlockEncoder:
         self.ngram_n = int(ngram_n)
         if self.ngram and not (2 <= self.ngram_n <= 8):
             raise ValueError(f"ngram_n must be in [2, 8], got {ngram_n}")
-        self.blocks_done = 0
-        self.rows_done = 0
         # per-column codec choice cache: trial selection runs on the first
         # block and every `retrial_blocks` thereafter; in between the cached
         # winner encodes directly (per-partition selection granularity —
@@ -352,6 +350,7 @@ class BlockEncoder:
         partition_seq: int = 0,
         row_start: int | None = None,
         codecs: dict[str, str] | None = None,
+        defer: list | None = None,
     ) -> pa.Table:
         """Encode one batch into one block row.
 
@@ -363,7 +362,12 @@ class BlockEncoder:
         a fresh selector trial. A forced or reused codec that cannot
         encode the values (``bitpack`` after a negative value) falls back
         to ``plain`` and the reason names the codec that failed. Neither
-        `codecs` nor the plain fallback touches the trial cache."""
+        `codecs` nor the plain fallback touches the trial cache.
+
+        With `defer` (a list), the block's trial-cache updates are
+        appended to it instead of applied, for `settle` to apply in
+        block order: blocks that `cached_run` admits then encode
+        concurrently with the cache left as it was."""
         cols = self.columns or batch.column_names
         codecs = codecs or {}
         for reserved in ("__bloom__", "__hll__", "__kll__", "__ngram__"):
@@ -385,6 +389,8 @@ class BlockEncoder:
         hlls: dict[str, str] = {}
         klls: dict[str, str] = {}
         ngrams: dict[str, dict] = {}
+        # trial-cache updates: (column, "trial" | "cached" | "failed", codec)
+        updates: list[tuple] = []
         for name in cols:
             arr = batch[name]
             if self.stats in ("block", "page"):
@@ -442,7 +448,7 @@ class BlockEncoder:
                         self.bloom,
                     )
                     choice_info = {"codec": cached, "reason": "cached selection"}
-                    self._since_trial[name] += 1
+                    updates.append((name, "cached", cached))
                 except Exception:
                     blob = encode_column(
                         arr, "plain", self.level, self.page_rows, self.page_zones,
@@ -452,7 +458,7 @@ class BlockEncoder:
                         "codec": "plain",
                         "reason": f"cached {cached} failed; re-trial next block",
                     }
-                    del self._cached[name]
+                    updates.append((name, "failed", cached))
             else:
                 blob, choice = encode_column_auto(
                     arr,
@@ -475,8 +481,7 @@ class BlockEncoder:
                     archive=self.archive,
                 )
                 choice_info = choice.lineage()
-                self._cached[name] = choice.codec
-                self._since_trial[name] = 0
+                updates.append((name, "trial", choice.codec))
             ms = (time.perf_counter() - t0) * 1000
             src_bytes += arr.nbytes
             enc_bytes += len(blob)
@@ -513,8 +518,10 @@ class BlockEncoder:
             content_hash = chain_hash(batch[self.hash_column])
             h.update(content_hash.encode())
         block_id = h.hexdigest()[:32]
-        self.blocks_done += 1
-        self.rows_done += n
+        if defer is None:
+            self.settle(updates)
+        else:
+            defer.extend(updates)
         meta = {
             "block_id": pa.array([block_id]),
             "partition_id": pa.array([partition_id]),
@@ -541,6 +548,32 @@ class BlockEncoder:
         }
         meta.update(out)
         return pa.table(meta)
+
+    def settle(self, updates: list) -> bool:
+        """Apply one block's trial-cache updates (`encode_table`'s
+        `defer`): a new trial sets the column's codec, a cached encode
+        counts toward the next retrial, a failed one drops the codec so
+        the next block re-trials. False when a cached codec failed."""
+        for name, how, codec in updates:
+            if how == "trial":
+                self._cached[name] = codec
+                self._since_trial[name] = 0
+            elif how == "cached":
+                self._since_trial[name] += 1
+            else:
+                del self._cached[name]
+        return all(how != "failed" for _, how, _ in updates)
+
+    def cached_run(self, batch: pa.Table) -> int:
+        """How many blocks from `batch` on encode every column from the
+        forced codecs or the trial cache, with no trial: 0 when `batch`
+        runs one."""
+        cols = [c for c in self.columns or batch.column_names
+                if c not in self.forced_codecs]
+        if any(c not in self._cached for c in cols):
+            return 0
+        return max(0, min((self.retrial_blocks - self._since_trial[c] for c in cols),
+                          default=self.retrial_blocks))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.encode_table(batch)

@@ -9,8 +9,9 @@ table atomically, commit a manifest entry per partition.
 The work queue is a small Ray Dataset of partition descriptors (a
 control-plane table, a few hundred bytes per row); the heavy data is
 read inside the encode task with pyarrow, column-pruned, one row-group
-at a time. A task holds one decoded row-group plus all of its
-partition's encoded blocks until the publish (so its memory scales
+at a time. A task holds the decoded row-groups of the blocks it is
+encoding (one block per CPU it holds) plus all of its partition's
+encoded blocks until the publish (so its memory scales
 with `max_partition_bytes`, compressed); `cluster_by` also holds the
 whole decoded partition for the sort. This is the deliberate exception
 documented in the survey: resumability requires partition identity,
@@ -29,6 +30,7 @@ stall a task or blow a worker heap.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import secrets
@@ -43,7 +45,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .dispatch import map_stage, task_cap
+from .dispatch import cpu_share, fan_out, largest_node_cpus, map_stage, pool_width, task_cap
 from .encode import BlockEncoder, cluster_cpus
 from .manifest import FORMAT_VERSION, Manifest, check_format
 
@@ -454,14 +456,38 @@ def _publish(manifest: Manifest, entry: dict, blocks: pa.Table | None,
 def _encode_blocks(core: BlockEncoder, tables, block_rows: int,
                    max_block_bytes: int, pid: str, pseq: int) -> pa.Table | None:
     """Block and encode a partition's tables in order: block_seq and
-    row_start count from 0. None when there are no rows."""
+    row_start count from 0. None when there are no rows.
+
+    A block that runs a codec trial encodes alone. The blocks after it
+    that `cached_run` admits encode `pool_width()` at a time on the
+    worker's pool, with the cache as it stood; their cache updates then
+    apply in block order, and a cached codec's failure discards the
+    blocks encoded after it, so the next block re-trials as in a serial
+    loop. The output is the serial loop's, byte for byte."""
+    blocks = (b for t in tables for b in iter_blocks(t, block_rows, max_block_bytes))
+    width = pool_width()
     out: list[pa.Table] = []
     rows = 0
-    for t in tables:
-        for block in iter_blocks(t, block_rows, max_block_bytes):
-            out.append(core.encode_table(block, block_seq=len(out), partition_id=pid,
-                                         partition_seq=pseq, row_start=rows))
-            rows += block.num_rows
+    todo: list[pa.Table] = []
+    while todo or (todo := list(itertools.islice(blocks, 1))):
+        n = min(core.cached_run(todo[0]), width)
+        todo += itertools.islice(blocks, max(0, n - len(todo)))
+        window = todo[:max(1, n)]
+        seq0 = len(out)
+        starts = np.cumsum([rows] + [b.num_rows for b in window]).tolist()
+        updates: list[list] = [[] for _ in window]
+        encoded = fan_out(
+            lambda k: core.encode_table(window[k], block_seq=seq0 + k, partition_id=pid,
+                                        partition_seq=pseq, row_start=starts[k],
+                                        defer=updates[k]),
+            range(len(window)),
+        )
+        for k, row in enumerate(encoded):
+            out.append(row)
+            rows = starts[k + 1]
+            if not core.settle(updates[k]):
+                break
+        del todo[:k + 1]
     return pa.concat_tables(out) if out else None
 
 
@@ -534,24 +560,42 @@ def _job_entries(out_root: str) -> tuple[Manifest, dict, list[dict]]:
     return manifest, rec.get("params", {}), entries
 
 
+def _control_ds(rows: list[dict], rows_per_block: int = 1) -> "ray.data.Dataset":
+    """A Dataset of control-plane rows (one per partition or manifest
+    entry, a few hundred bytes) whose map tasks all start at once. Until
+    a task has finished, Ray Data budgets each running task
+    `target_max_block_size` x 2 of object store for its output, which
+    at the 128 MiB default admits one task at a time on a small object
+    store. The block size is set on this Dataset's own context; the
+    global DataContext is never changed."""
+    ds = ray.data.from_items(rows, override_num_blocks=max(1, -(-len(rows) // rows_per_block)))
+    ds.context.target_max_block_size = 1 << 20
+    return ds
+
+
 def _partition_stage_ds(stage_class: type, items: list, concurrency,
                         **ctor) -> "ray.data.Dataset":
     """The lazy Dataset of a `_PartitionStage` over `items` (partition
     descriptors, manifest entries or partition ids), one partition per
     Ray Data task through the shared stage dispatch (`rayenc.dispatch`).
-    At most `concurrency` partitions run at once (a tuple's upper bound);
-    the default leaves two CPUs to the rest of the cluster, and the cap
-    never exceeds the partition count. Items ride as JSON strings: their
-    nested per-column/lineage dicts vary in shape across partitions
-    (post-delete entries carry keys fresh ones lack), which a columnar
-    from_items block can't represent uniformly."""
-    cap = max(2, cluster_cpus() - 2) if concurrency is None else task_cap(concurrency)
+    At most `concurrency` partitions run at once (a tuple's upper bound;
+    by default two fewer than the cluster's CPUs, at least 2), never
+    more than there are partitions, and all of them start together. Each
+    task reserves an even share of the cluster's CPUs (`cpu_share`), so
+    CPUs the cap leaves idle go to the running partitions, which spend
+    them on the worker's thread pool (`fan_out`). Items ride as JSON
+    strings: their nested per-column/lineage dicts vary in shape across
+    partitions (post-delete entries carry keys fresh ones lack), which a
+    columnar from_items block can't represent uniformly."""
+    cpus = cluster_cpus()
+    cap = max(2, cpus - 2) if concurrency is None else task_cap(concurrency)
+    tasks = max(1, min(cap, len(items)))
     return map_stage(
-        ray.data.from_items([{"item": json.dumps(x)} for x in items],
-                            override_num_blocks=max(1, len(items))),
+        _control_ds([{"item": json.dumps(x)} for x in items]),
         stage_class,
         ctor,
-        concurrency=max(1, min(cap, len(items))),
+        concurrency=tasks,
+        num_cpus=cpu_share(tasks, cpus, largest_node_cpus()),
         batch_size=1,
         zero_copy_batch=True,
     )
@@ -825,6 +869,15 @@ def run_encode_job(
     another format_version — raises instead of silently mixing rows from
     different predicates (ADVICE r2).
 
+    `concurrency` caps the partitions encoding at once (a tuple's upper
+    bound; by default two fewer than the cluster's CPUs, at least 2, and
+    never more than there are partitions). Each partition task reserves
+    an even share of the cluster's CPUs, at most one node's, and spends
+    it on threads: the blocks between two codec trials, and a trial's
+    candidates, encode concurrently. So `concurrency=1` is one task
+    holding every CPU. The threads change no byte: the output equals a
+    serial encode's.
+
     Output bytes are reproducible only at `concurrency=1`: each task
     worker trials the first block it encodes and serves its later
     partitions from that cached choice, so at a higher concurrency a
@@ -1014,7 +1067,7 @@ def fsck_job(out_root: str, deep: bool = False) -> dict:
             results = _check_entry(pa.Table.from_pylist(items)).to_pylist()
         else:
             results = (
-                ray.data.from_items(items)
+                _control_ds(items, rows_per_block=64)
                 .map_batches(_check_entry, batch_format="pyarrow", batch_size=64)
                 .take_all()
             )  # control-plane rows: one per partition, tiny
@@ -1260,9 +1313,11 @@ class _PartitionRewriter(_PartitionStage):
         if not candidates:
             return untouched
         old = pq.read_table(entry["output"]).sort_by("block_seq")
-        matched = removed = 0
-        rewritten: dict[int, pa.Table | None] = {}  # idx -> new row | None: emptied
-        for i in candidates:
+
+        def rewrite(i: int) -> tuple[int, int, pa.Table | None]:
+            """Candidate block i -> (rows matched, rows removed, its new
+            row; None when emptied). Each block re-encodes with its own
+            recorded codecs, so candidates run concurrently (`fan_out`)."""
             decoded = self.dec(old.slice(i, 1))
             m = dnf_mask(decoded, self.dnf)
             if m is None:  # validated non-empty upstream; belt-and-braces
@@ -1270,19 +1325,27 @@ class _PartitionRewriter(_PartitionStage):
             mask = pc.fill_null(m, False)
             n_match = int(pc.sum(mask).as_py() or 0)
             if n_match == 0:
-                continue  # zone false positive: keep the encoded row as-is
-            matched += n_match
+                return 0, 0, None  # zone false positive: keep the encoded row as-is
             out = self._transform(decoded, mask)
-            removed += decoded.num_rows - out.num_rows
             lineage = json.loads(old["lineage"][i].as_py() or "{}")
-            rewritten[i] = None if out.num_rows == 0 else self.core.encode_table(
-                out,
-                block_seq=0,  # renumbered below with the kept rows
-                partition_id=pid,
-                partition_seq=int(old["partition_seq"][i].as_py()),
-                row_start=0,
-                codecs={c: info["codec"] for c, info in lineage.items()},
-            ).select(old.column_names)
+            return n_match, decoded.num_rows - out.num_rows, None if out.num_rows == 0 else (
+                self.core.encode_table(
+                    out,
+                    block_seq=0,  # renumbered below with the kept rows
+                    partition_id=pid,
+                    partition_seq=int(old["partition_seq"][i].as_py()),
+                    row_start=0,
+                    codecs={c: info["codec"] for c, info in lineage.items()},
+                ).select(old.column_names)
+            )
+
+        matched = removed = 0
+        rewritten: dict[int, pa.Table | None] = {}  # idx -> new row | None: emptied
+        for i, (n_match, n_removed, row) in zip(candidates, fan_out(rewrite, candidates)):
+            if n_match:
+                matched += n_match
+                removed += n_removed
+                rewritten[i] = row
         if matched == 0:
             return untouched
         kept = [rewritten.get(i, old.slice(i, 1)) for i in range(old.num_rows)]
@@ -1364,6 +1427,9 @@ class PartitionUpdater(_PartitionRewriter):
             for x in entry.get("enrichments", [])
             if x["input"] in targets
         ]
+        for _, enricher, _ in self.derived:  # set up here: _transform runs on pool threads
+            if enricher not in self.fns:
+                self.fns[enricher] = _enricher_registry()[enricher]()
         return super()._run(entry)
 
     def _transform(self, decoded: pa.Table, mask) -> pa.Table:
@@ -1391,8 +1457,6 @@ class PartitionUpdater(_PartitionRewriter):
             rows = pa.chunked_array(mask).combine_chunks()
             changed = out.filter(rows)
         for col, enricher, input_col in self.derived:
-            if enricher not in self.fns:
-                self.fns[enricher] = _enricher_registry()[enricher]()
             vals = self.fns[enricher](changed, input_col).cast(out.schema.field(col).type)
             new = pc.replace_with_mask(out[col], rows, pa.chunked_array(vals).combine_chunks())
             out = out.set_column(out.column_names.index(col), col, new)

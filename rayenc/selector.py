@@ -24,6 +24,7 @@ from .blocks import encode_column, prepare_array
 from .codecs.base import int_view, is_floatlike, is_intlike, is_stringlike
 from .codecs.fc import shared_prefix_lengths
 from .codecs.util import string_array_parts
+from .dispatch import fan_out
 
 SAMPLE_ROWS = 4096
 SAMPLE_BYTES = 2 << 20       # cap trial sample at 2 MiB of string payload
@@ -254,7 +255,10 @@ def select_codec(
     ratios: dict[str, float] = {}  # payload bytes per source byte (comparable across samples)
     dec_mbps: dict[str, float] = {}
     enc_mbps: dict[str, float] = {}
-    for name in cands:
+
+    def trial(name: str) -> tuple | None:
+        """(blob bytes, payload ratio, encode MB/s, decode MB/s | None)
+        of one candidate's trial encode; None when it cannot encode."""
         trial_sample = sample
         if name.startswith("fsst") and sample.nbytes > FSST_SAMPLE_BYTES:
             trial_sample = _sample(arr, sample_rows, FSST_SAMPLE_BYTES)
@@ -263,21 +267,31 @@ def select_codec(
             blob = encode_column(trial_sample, name, level)
             enc_dt = _time.perf_counter() - t0
         except Exception:  # a candidate that cannot encode loses by default
-            continue
+            return None
         # compare payloads net of the fixed json header: at real block sizes
         # (100k+ rows) the header vanishes, so letting it bias a 4k-row
         # sample would systematically punish multi-section codecs
         hlen = int.from_bytes(blob[4:8], "little")
         payload = len(blob) - 8 - hlen
-        trials[name] = len(blob)
-        ratios[name] = payload / max(trial_sample.nbytes, 1)
-        enc_mbps[name] = round(trial_sample.nbytes / max(enc_dt, 1e-9) / 1e6, 1)
+        dec = None
         if decode_weight > 0:  # only pay the decode passes when the
             # measurement can influence the ranking (hot-path economy)
             try:
-                dec_mbps[name] = _timed_decode_mbps(blob, trial_sample.nbytes)
+                dec = _timed_decode_mbps(blob, trial_sample.nbytes)
             except Exception:
-                dec_mbps[name] = 0.0
+                dec = 0.0
+        return (len(blob), payload / max(trial_sample.nbytes, 1),
+                round(trial_sample.nbytes / max(enc_dt, 1e-9) / 1e6, 1), dec)
+
+    # the trials run concurrently on the worker's pool (`fan_out`), in
+    # candidate order; serially when measured decode speeds rank them,
+    # so no trial's timing shares the CPUs with another's
+    done = fan_out(trial, cands) if decode_weight <= 0 else [trial(c) for c in cands]
+    for name, res in zip(cands, done):
+        if res is not None:
+            trials[name], ratios[name], enc_mbps[name], dec = res
+            if dec is not None:
+                dec_mbps[name] = dec
     if not trials:
         return Choice("plain", stats, {}, "no candidate succeeded; zstd backstop")
     if enc_cap is not None and len(ratios) > 1:

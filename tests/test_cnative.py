@@ -52,3 +52,31 @@ def test_cache_dir_accepts_and_creates_safe_dir(monkeypatch, tmp_path):
     assert st.st_mode & 0o777 == 0o700
     # idempotent on the safe dir
     assert _cnative._cache_dir() == d
+
+
+def test_once_loads_once_for_racing_callers():
+    """Threads racing the first call share one load and its result; a
+    load that raises keeps nothing, so it raises again next call."""
+    import threading
+    import time
+
+    calls = []
+
+    def load():
+        calls.append(1)
+        time.sleep(0.05)
+        return "lib"
+
+    get = _cnative.once(load)
+    out = []
+    threads = [threading.Thread(target=lambda: out.append(get())) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert out == ["lib"] * 8 and calls == [1]
+    boom = _cnative.once(lambda: 1 / 0)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            boom()

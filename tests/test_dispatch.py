@@ -110,3 +110,144 @@ def test_default_decode_concurrency_fits_one_block(ray_session):
     assert len(got) == 10
     msgs = [str(w.message) for w in caught]
     assert not [m for m in msgs if "maximum number of concurrent tasks" in m], msgs
+
+
+# ---------------------------------------------------------------------------
+# CPU shares and the per-worker thread pool
+# ---------------------------------------------------------------------------
+
+
+def test_partition_tasks_start_together(ray_session, tmp_path):
+    """Every partition task of one call starts before the first one
+    ends (Ray Data's default output budget admitted one task at a time
+    until one had finished), and each task's pool is as wide as the
+    CPUs it reserved: concurrency 4 over 4 CPUs gives 1 each, a single
+    task holds every CPU."""
+    import json
+    import time
+
+    from rayenc.jobs import _map_partitions, _PartitionStage
+
+    class Stamp(_PartitionStage):
+        def __init__(self, out_dir: str, nap: float):
+            self.out_dir, self.nap = out_dir, nap
+
+        def _run(self, item):
+            from rayenc.dispatch import pool_width
+
+            t0 = time.time()
+            time.sleep(self.nap)  # longer than a worker start
+            stamp = {"start": t0, "end": time.time(), "width": pool_width()}
+            with open(f"{self.out_dir}/{item}.json", "w") as f:
+                json.dump(stamp, f)
+            return {"item": item}
+
+    rows = _map_partitions(Stamp, list(range(4)), 4, out_dir=str(tmp_path), nap=5.0)
+    assert sorted(r["item"] for r in rows) == [0, 1, 2, 3]
+    stamps = [json.loads((tmp_path / f"{i}.json").read_text()) for i in range(4)]
+    first_end = min(s["end"] for s in stamps)
+    assert all(s["start"] < first_end for s in stamps), stamps
+    assert {s["width"] for s in stamps} == {1}
+    _map_partitions(Stamp, [9], 1, out_dir=str(tmp_path), nap=0.0)
+    assert json.loads((tmp_path / "9.json").read_text())["width"] == 4
+
+
+def test_cpu_share_rule():
+    """Each of `tasks` tasks reserves an even share of the cluster's
+    CPUs, at least one, and never more than the largest node has."""
+    from rayenc.dispatch import cpu_share
+
+    assert cpu_share(2, 4, 4) == 2  # default cap at 4 CPUs: 2 tasks x 2
+    assert cpu_share(1, 4, 4) == 4  # concurrency=1: one task, every CPU
+    assert cpu_share(4, 4, 4) == 1
+    assert cpu_share(3, 4, 4) == 1  # the remainder stays free
+    assert cpu_share(30, 32, 32) == 1
+    assert cpu_share(6, 4, 4) == 1  # never below one CPU
+    assert cpu_share(1, 64, 16) == 16  # a 64-CPU cluster of 16-CPU nodes
+    assert cpu_share(2, 48, 8) == 8
+
+
+def test_pool_width_outside_a_task_is_one(ray_session):
+    """The driver (and so every test) keeps the serial path."""
+    from rayenc.dispatch import pool_width
+
+    assert pool_width() == 1
+
+
+def test_fan_out_order_errors_and_no_nested_submission(monkeypatch):
+    """Results come back in item order; the first failing item's error
+    is raised; work that fans out again from inside a fan-out runs
+    serially, submitting nothing to the pool; the pool's threads are
+    daemons, reused across calls."""
+    import threading
+    import time
+
+    from rayenc import dispatch
+
+    monkeypatch.setattr(dispatch, "pool_width", lambda: 4)
+    submits = []
+    real_submit = dispatch._pool_submit
+
+    def spy(fn, n):
+        submits.append(n)
+        return real_submit(fn, n)
+
+    monkeypatch.setattr(dispatch, "_pool_submit", spy)
+    names = set()
+
+    def inner(x):
+        names.add(threading.current_thread().name)
+        time.sleep(0.05)  # long enough for the pool threads to take items
+        return dispatch.fan_out(lambda y: x * 10 + y, range(3))
+
+    assert dispatch.fan_out(inner, range(8)) == [[x * 10 + y for y in range(3)]
+                                                 for x in range(8)]
+    assert submits == [3]  # the outer call only
+    assert any(n.startswith("rayenc-pool-") for n in names)
+    threads = list(dispatch._POOL_THREADS)
+    assert threads and all(t.daemon for t in threads)
+
+    def boom(x):
+        if x in (5, 7):
+            raise KeyError(x)
+        return x
+
+    try:
+        dispatch.fan_out(boom, range(10))
+    except KeyError as e:
+        assert e.args == (5,)
+    else:
+        raise AssertionError("fan_out swallowed an item's error")
+    assert dispatch._POOL_THREADS == threads
+
+
+def test_fan_out_stress_runs_each_item_once(monkeypatch):
+    """More threads than cores, a tiny switch interval: every item runs
+    exactly once and lands in its own slot."""
+    import sys
+    import threading
+
+    from rayenc import dispatch
+
+    monkeypatch.setattr(dispatch, "pool_width", lambda: 8)
+    runs = [0] * 3000
+    lock = threading.Lock()
+
+    def fn(i):
+        with lock:
+            runs[i] += 1
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        box = {}
+        th = threading.Thread(target=lambda: box.setdefault(
+            "out", dispatch.fan_out(fn, range(len(runs)))), daemon=True)
+        th.start()
+        th.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not th.is_alive()
+    assert box["out"] == [i * i for i in range(len(runs))]
+    assert runs == [1] * len(runs)

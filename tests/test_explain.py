@@ -41,3 +41,24 @@ def test_explain_decode_reports_prunes(ray_session):
 
     with pytest.raises(ValueError, match="needs a filter"):
         explain_decode(blocks, None)
+
+
+def test_empty_block_table_gives_empty_answers(ray_session):
+    """A block table with no rows and no schema (everything filtered
+    away) gets the empty answer from explain_decode and agg_topk, as
+    from agg_count and agg_sum, not an AttributeError on its schema. A
+    malformed filter is still refused."""
+    from rayenc import BlockEncoder, agg_count, agg_sum, agg_topk
+
+    t = pa.table({"doc_id": pa.array(np.arange(50, dtype=np.int64))})
+    none = rd.from_arrow(BlockEncoder().encode_table(t)).filter(lambda r: False)
+    assert none.schema() is None
+    filt = [("doc_id", "<", 10)]
+    assert agg_count(none, filt) == 0 and agg_sum(none, "doc_id", filt) is None
+    rep = explain_decode(none, filt)
+    assert rep["total_blocks"] == rep["kept_blocks"] == rep["total_rows"] == 0
+    for f in (None, filt):
+        top = agg_topk(none, "doc_id", 3, extra_cols=["x"], filter=f)
+        assert top.num_rows == 0 and top.column_names == ["doc_id", "x"]
+    with pytest.raises(ValueError, match="unknown predicate op"):
+        explain_decode(none, [("doc_id", "~", 1)])
