@@ -8,8 +8,10 @@
   table row-by-row vs columnar, folding every value into an anti-DCE
   "touch" counter (:58-169) and reporting avg ms/iteration.
 
-Owns its Ray session (library code never does): guarded ray.init with
-num_cpus from RAY_GRAFT_CPUS (default 32), shutdown at exit.
+Owns its Ray session (library code never does): guarded ray.init,
+shutdown at exit. Under ``ray job submit`` (``RAY_ADDRESS`` set to the
+cluster) it attaches to that cluster; otherwise (unset or ``local``) it
+starts a local one with num_cpus from RAY_GRAFT_CPUS (default 32).
 """
 
 from __future__ import annotations
@@ -26,12 +28,17 @@ def _init_ray() -> None:
     import ray
 
     if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-            include_dashboard=False,
-            logging_level="ERROR",
-        )
+        address = os.environ.get("RAY_ADDRESS") or "local"
+        if address != "local":
+            # a submitted job: attach to its cluster, whose CPUs are fixed
+            ray.init(address=address, logging_level="ERROR")
+        else:
+            ray.init(
+                address="local",
+                num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                include_dashboard=False,
+                logging_level="ERROR",
+            )
         from ray.data import DataContext
 
         DataContext.get_current().enable_progress_bars = False

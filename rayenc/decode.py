@@ -1268,12 +1268,10 @@ def explain_decode(
             "kept_blob_bytes", "total_rows", "page_kept_rows"]
     sums = _fold_blocks(blocks, None, part, operator.add)
     out = {c: int(v) for c, v in zip(cols, [0] * len(cols) if sums is None else sums)}
-    out["block_prune_ratio"] = round(
-        1 - out["kept_blocks"] / max(out["total_blocks"], 1), 4
-    )
-    out["page_row_prune_ratio"] = round(
-        1 - out["page_kept_rows"] / max(out["total_rows"], 1), 4
-    )
+    # a table with no blocks (or rows) has nothing pruned
+    for key, kept, total in [("block_prune_ratio", "kept_blocks", "total_blocks"),
+                             ("page_row_prune_ratio", "page_kept_rows", "total_rows")]:
+        out[key] = round(1 - out[kept] / out[total], 4) if out[total] else 0.0
     return out
 
 

@@ -241,8 +241,8 @@ def default_pool_size() -> int:
 class BlockEncoder:
     """map_batches callable: one input Arrow batch -> one block row.
 
-    Stateful-stage pattern: construct once per actor (codec registry,
-    counters), called per batch — the Ray analog of the reference's
+    Stateful-stage pattern: construct once per encoder stage (codec
+    registry, counters), called per batch — the Ray analog of the reference's
     reusable ``Builders`` accumulator
     (/root/reference/src/columns_builder.rs:23-33,109-147).
     """
@@ -251,7 +251,6 @@ class BlockEncoder:
         self,
         columns: list[str] | None = None,
         level: int = 3,
-        sample_rows: int = 4096,
         hash_column: str | None = HASH_COLUMN,
         forced_codecs: dict[str, str] | None = None,
         retrial_blocks: int = 16,
@@ -270,7 +269,6 @@ class BlockEncoder:
     ):
         self.columns = columns
         self.level = level
-        self.sample_rows = sample_rows
         self.hash_column = hash_column
         self.forced_codecs = forced_codecs or {}
         if stats not in ("none", "block", "page"):
@@ -359,10 +357,12 @@ class BlockEncoder:
         block already recorded in its lineage: a copy-on-write rewrite
         re-encodes with it instead of trialling, lineage reason
         ``"reused <codec>"``); the per-column cache of an earlier trial;
-        a fresh selector trial. A forced or reused codec that cannot
-        encode the values (``bitpack`` after a negative value) falls back
-        to ``plain`` and the reason names the codec that failed. Neither
-        `codecs` nor the plain fallback touches the trial cache.
+        a fresh selector trial. A forced, reused or cached codec that
+        cannot encode the values (``bitpack`` after a negative value)
+        falls back to ``plain`` and the reason names the codec that
+        failed. Of these, only a cached codec touches the trial cache: it
+        counts toward the next retrial, or is dropped when it failed so
+        the next block re-trials.
 
         With `defer` (a list), the block's trial-cache updates are
         appended to it instead of applied, for `settle` to apply in
@@ -385,10 +385,8 @@ class BlockEncoder:
         src_bytes = 0
         enc_bytes = 0
         h = hashlib.sha256()
-        blooms: dict[str, str] = {}
-        hlls: dict[str, str] = {}
-        klls: dict[str, str] = {}
-        ngrams: dict[str, dict] = {}
+        # {reserved zonemap key: (builder, {column: sketch})}
+        sketches = {k: (build, {}) for k, build in self._sketch_builders().items()}
         # trial-cache updates: (column, "trial" | "cached" | "failed", codec)
         updates: list[tuple] = []
         for name in cols:
@@ -397,73 +395,16 @@ class BlockEncoder:
                 z = column_zone(arr)
                 if z is not None:
                     zones[name] = z
-                if self.bloom:
-                    from .bloom import bloom_build
-
-                    bf = bloom_build(arr)
-                    if bf is not None:
-                        blooms[name] = bf
-                if self.hll:
-                    regs = column_hll(arr, self.hll_b)
-                    if regs is not None:
-                        hlls[name] = regs
-                if self.kll:
-                    sk = column_kll(arr, self.kll_k)
-                    if sk is not None:
-                        klls[name] = sk
-                if self.ngram:
-                    from .bloom import ngram_bloom_build
-
-                    nf = ngram_bloom_build(arr, self.ngram_n)
-                    if nf is not None:
-                        ngrams[name] = nf
+            for build, built in sketches.values():
+                sk = build(arr)
+                if sk is not None:
+                    built[name] = sk
             t0 = time.perf_counter()
-            forced = self.forced_codecs.get(name)
-            given = forced or codecs.get(name)
-            cached = self._cached.get(name)
-            if given:
-                how = "forced" if forced else "reused"
-                try:
-                    blob = encode_column(
-                        arr, given, self.level, self.page_rows, self.page_zones,
-                        self.bloom,
-                    )
-                    choice_info = {
-                        "codec": given,
-                        "reason": how if forced else f"{how} {given}",
-                    }
-                except Exception:
-                    blob = encode_column(
-                        arr, "plain", self.level, self.page_rows, self.page_zones,
-                        self.bloom,
-                    )
-                    choice_info = {
-                        "codec": "plain",
-                        "reason": f"{how} {given} failed; zstd backstop",
-                    }
-            elif cached is not None and self._since_trial.get(name, 0) < self.retrial_blocks:
-                try:
-                    blob = encode_column(
-                        arr, cached, self.level, self.page_rows, self.page_zones,
-                        self.bloom,
-                    )
-                    choice_info = {"codec": cached, "reason": "cached selection"}
-                    updates.append((name, "cached", cached))
-                except Exception:
-                    blob = encode_column(
-                        arr, "plain", self.level, self.page_rows, self.page_zones,
-                        self.bloom,
-                    )
-                    choice_info = {
-                        "codec": "plain",
-                        "reason": f"cached {cached} failed; re-trial next block",
-                    }
-                    updates.append((name, "failed", cached))
-            else:
+            given = self._given_codec(name, codecs)
+            if given is None:
                 blob, choice = encode_column_auto(
                     arr,
                     self.level,
-                    self.sample_rows,
                     page_rows=self.page_rows,
                     page_zones=self.page_zones,
                     decode_weight=self.decode_weight,
@@ -482,6 +423,22 @@ class BlockEncoder:
                 )
                 choice_info = choice.lineage()
                 updates.append((name, "trial", choice.codec))
+            else:
+                codec, reason, failed, cached = given
+                try:
+                    blob = encode_column(
+                        arr, codec, self.level, self.page_rows, self.page_zones,
+                        self.bloom,
+                    )
+                    choice_info, how = {"codec": codec, "reason": reason}, "cached"
+                except Exception:
+                    blob = encode_column(
+                        arr, "plain", self.level, self.page_rows, self.page_zones,
+                        self.bloom,
+                    )
+                    choice_info, how = {"codec": "plain", "reason": failed}, "failed"
+                if cached:
+                    updates.append((name, how, codec))
             ms = (time.perf_counter() - t0) * 1000
             src_bytes += arr.nbytes
             enc_bytes += len(blob)
@@ -504,14 +461,9 @@ class BlockEncoder:
             # full-blob digest: a 64-byte prefix is mostly the fixed JSON
             # header and collides across distinct blocks of the same shape
             h.update(hashlib.sha256(blob).digest())
-        if blooms:
-            zones["__bloom__"] = blooms
-        if hlls:
-            zones["__hll__"] = hlls
-        if klls:
-            zones["__kll__"] = klls
-        if ngrams:
-            zones["__ngram__"] = ngrams
+        for key, (_, built) in sketches.items():
+            if built:
+                zones[key] = built
         h.update(n.to_bytes(8, "little"))
         content_hash = ""
         if self.hash_column and self.hash_column in cols:
@@ -548,6 +500,35 @@ class BlockEncoder:
         }
         meta.update(out)
         return pa.table(meta)
+
+    def _sketch_builders(self) -> dict:
+        """{reserved zonemap key: per-column builder} of the sketches
+        this encoder keeps, in zonemap key order. Built per call, so a
+        builder swapped into its module after import is the one used."""
+        from .bloom import bloom_build, ngram_bloom_build
+
+        kept = {
+            "__bloom__": (self.bloom, bloom_build),
+            "__hll__": (self.hll, lambda a: column_hll(a, self.hll_b)),
+            "__kll__": (self.kll, lambda a: column_kll(a, self.kll_k)),
+            "__ngram__": (self.ngram, lambda a: ngram_bloom_build(a, self.ngram_n)),
+        }
+        return {k: build for k, (on, build) in kept.items() if on}
+
+    def _given_codec(self, name: str, codecs: dict) -> tuple | None:
+        """(codec, lineage reason, reason if it fails, tracked) for a
+        column whose codec is forced, reused from its block's lineage or
+        cached from an earlier trial; None when the selector must trial
+        it. Only a cached codec's outcome is `tracked` in the trial
+        cache."""
+        if forced := self.forced_codecs.get(name):
+            return forced, "forced", f"forced {forced} failed; zstd backstop", False
+        if reused := codecs.get(name):
+            return reused, f"reused {reused}", f"reused {reused} failed; zstd backstop", False
+        cached = self._cached.get(name)
+        if cached is not None and self._since_trial.get(name, 0) < self.retrial_blocks:
+            return cached, "cached selection", f"cached {cached} failed; re-trial next block", True
+        return None
 
     def settle(self, updates: list) -> bool:
         """Apply one block's trial-cache updates (`encode_table`'s

@@ -10,7 +10,10 @@
 # On a real cluster: start the cluster (N or 4N nodes), set RAY_ADDRESS to
 # the head node, and the same command distributes: the partition plan is
 # metadata-only, each partition is encoded+committed independently
-# (resume-safe), and the actor pool sizes itself to 3/4 of cluster CPUs.
+# (resume-safe), and the partition tasks all start together, each
+# reserving an even share of the cluster's CPUs. Ray Jobs sets
+# RAY_ADDRESS for the entrypoint, so the CLI attaches to the cluster
+# instead of starting a local one.
 set -euo pipefail
 INPUT=${1:?input parquet dir}
 OUT=${2:?output root}

@@ -92,3 +92,26 @@ def test_touch_paths_agree_on_nonfinite_floats():
     col = pa.array([1.5, float("inf"), float("-inf"), float("nan"), None, -2.7])
     rowsum = sum(_touch_value(v) for v in col.to_pylist())
     assert rowsum == _touch_column(col) == 1 + 1 - 2
+
+
+def test_cli_attaches_to_a_submitted_jobs_cluster(monkeypatch):
+    """`python -m rayenc` run by `ray job submit` (which sets
+    RAY_ADDRESS to the cluster) attaches to that cluster without
+    claiming CPUs; run alone (RAY_ADDRESS unset or "local") it starts a
+    local Ray with RAY_GRAFT_CPUS CPUs."""
+    import ray
+
+    from rayenc.__main__ import _init_ray
+
+    calls: list[dict] = []
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    monkeypatch.setattr(ray, "init", lambda **kw: calls.append(kw))
+    monkeypatch.setenv("RAY_ADDRESS", "10.0.0.7:6379")
+    _init_ray()
+    monkeypatch.setenv("RAY_GRAFT_CPUS", "3")
+    monkeypatch.setenv("RAY_ADDRESS", "local")
+    _init_ray()
+    monkeypatch.delenv("RAY_ADDRESS")
+    _init_ray()
+    assert calls[0]["address"] == "10.0.0.7:6379" and "num_cpus" not in calls[0]
+    assert [(c["address"], c["num_cpus"]) for c in calls[1:]] == [("local", 3)] * 2

@@ -57,6 +57,7 @@ def test_empty_block_table_gives_empty_answers(ray_session):
     assert agg_count(none, filt) == 0 and agg_sum(none, "doc_id", filt) is None
     rep = explain_decode(none, filt)
     assert rep["total_blocks"] == rep["kept_blocks"] == rep["total_rows"] == 0
+    assert rep["block_prune_ratio"] == rep["page_row_prune_ratio"] == 0.0
     for f in (None, filt):
         top = agg_topk(none, "doc_id", 3, extra_cols=["x"], filter=f)
         assert top.num_rows == 0 and top.column_names == ["doc_id", "x"]

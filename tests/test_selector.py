@@ -340,3 +340,122 @@ def test_archive_threads_through_block_encoder():
     block = enc.encode_table(t)
     out = decode_column(block["col_content"][0].as_py())
     assert out.equals(t["content"].combine_chunks())
+
+
+def _sample_lies(n_soup: int = 4000) -> pa.Array:
+    """~1.7 MB string column whose sample picks an fsst finalist while
+    the full payload favours a plain@N rival: 600 identical hex rows
+    weight the head sample, word-soup rows fill the rest."""
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    words = [f"w{i:03d}" for i in range(200)]
+    hexrow = np.random.default_rng(1).bytes(60).hex()
+    return pa.array(
+        [hexrow] * 600
+        + [" ".join(words[j] for j in rng.integers(0, 200, size=80)) for _ in range(n_soup)]
+    )
+
+
+def _fail_full(monkeypatch, sel, bad: set, n_rows: int) -> None:
+    """Make the selector's encode of codec family members in `bad` raise
+    on the full column (`n_rows` rows) while sample and slice trials
+    still encode."""
+    real = sel.encode_column
+
+    def enc(arr, codec, *a, **kw):
+        if codec in bad and len(arr) == n_rows:
+            raise ValueError(f"injected {codec} failure")
+        return real(arr, codec, *a, **kw)
+
+    monkeypatch.setattr(sel, "encode_column", enc)
+
+
+def test_full_runoff_rival_wins(monkeypatch):
+    """The rival family's finalist beats the sample's pick on the full
+    payload: the rival is chosen, the reason says which codec it beat
+    and both full-size blob sizes are recorded as runoff trials."""
+    from rayenc import selector as sel
+
+    monkeypatch.setattr(sel, "RUNOFF_PAYLOAD_BYTES", 1 << 20)
+    arr = _sample_lies()
+    cache: dict = {}
+    blob, c = sel.encode_column_auto(arr, runoff_cache=cache)
+    assert c.codec == "plain@12"
+    assert c.reason.startswith("full-payload runoff beat fsst (")
+    runoff = {k for k in c.trials if k.startswith("runoff")}
+    assert runoff == {"runoff:fsst", "runoff:plain@12"}
+    assert c.trials["runoff:plain@12"] < c.trials["runoff:fsst"]
+    assert cache["winner"] == "plain@12" and cache["pair"] == {"fsst", "plain@12"}
+    assert decode_column(blob).equals(arr)
+
+
+def test_full_runoff_finalist_fails_on_full_data(monkeypatch):
+    """The sample's pick cannot encode the full payload: it degrades to
+    the zstd backstop, the rival still runs against the backstop, and
+    the degraded verdict is never cached."""
+    from rayenc import selector as sel
+
+    monkeypatch.setattr(sel, "RUNOFF_PAYLOAD_BYTES", 1 << 20)
+    arr = _sample_lies()
+    _fail_full(monkeypatch, sel, {"fsst"}, len(arr))
+    cache: dict = {}
+    blob, c = sel.encode_column_auto(arr, runoff_cache=cache)
+    assert c.codec == "plain@12"
+    assert c.reason.startswith("full-payload runoff beat plain (")
+    runoff = {k for k in c.trials if k.startswith("runoff")}
+    assert runoff == {"runoff:plain", "runoff:plain@12"}
+    assert cache == {}
+    assert decode_column(blob).equals(arr)
+    # the rival fails too: the backstop stands, named after the finalist
+    _fail_full(monkeypatch, sel, {"fsst", "plain@12"}, len(arr))
+    blob, c = sel.encode_column_auto(arr, runoff_cache=cache)
+    assert c.codec == "plain"
+    assert c.reason == "fsst failed on full data; zstd backstop"
+    assert {k for k in c.trials if k.startswith("runoff")} == {"runoff:plain"}
+    assert cache == {}
+    assert decode_column(blob).equals(arr)
+
+
+def test_capped_runoff_winner_fails_on_full_data(monkeypatch):
+    """The slice verdict's winner cannot encode the full payload: the
+    column falls to the zstd backstop with no runoff trial keys, and
+    the failed verdict is not cached."""
+    from rayenc import selector as sel
+
+    monkeypatch.setattr(sel, "RUNOFF_PAYLOAD_BYTES", 1 << 20)
+    monkeypatch.setattr(sel, "RUNOFF_SLICE_BYTES", 256 << 10)
+    arr = _sample_lies()
+    _, ok = sel.encode_column_auto(arr)
+    assert ok.reason.startswith("capped runoff (")
+    assert "chose plain@12 over fsst" in ok.reason
+    assert {k for k in ok.trials if k.startswith("runoff")} == {
+        "runoff_slice:fsst", "runoff_slice:plain@12"}
+    _fail_full(monkeypatch, sel, {"plain@12"}, len(arr))
+    cache: dict = {}
+    blob, c = sel.encode_column_auto(arr, runoff_cache=cache)
+    assert c.codec == "plain"
+    assert c.reason == "plain@12 failed on full data; zstd backstop"
+    assert not any(k.startswith("runoff") for k in c.trials)
+    assert cache == {}
+    assert decode_column(blob).equals(arr)
+
+
+def test_cached_runoff_winner_fails_runs_full_runoff(monkeypatch):
+    """A cached verdict whose winner no longer encodes is cleared and
+    the full runoff decides instead; with the rival failing there, the
+    sample's pick stands and nothing is cached again."""
+    from rayenc import selector as sel
+
+    monkeypatch.setattr(sel, "RUNOFF_PAYLOAD_BYTES", 1 << 20)
+    arr = _sample_lies()
+    cache: dict = {}
+    _, first = sel.encode_column_auto(arr, runoff_cache=cache)
+    assert cache["winner"] == first.codec == "plain@12"
+    _fail_full(monkeypatch, sel, {"plain@12"}, len(arr))
+    blob, c = sel.encode_column_auto(arr, runoff_cache=cache)
+    assert c.codec == "fsst"
+    assert c.reason.startswith("min trial payload among")
+    assert {k for k in c.trials if k.startswith("runoff")} == {"runoff:fsst"}
+    assert cache == {}
+    assert decode_column(blob).equals(arr)
