@@ -1,12 +1,12 @@
 """Benchmark harness — the feedback loop against BASELINE.md.
 
-Headline: the flagship encode job (streaming read_parquet ->
-map_batches(BlockEncoder actor pool) -> block table) over the
-deterministic F1 source-code corpus (repo, path, commit, lang, content —
-the BASELINE.json input_hint shape, synthesized at bench scale per the
-no-external-data rule), plus decode + sha256 verify. Reports GB/s of
-content bytes and compressed size vs the reference pyarrow-zstd3
-parquet. Secondary: representative queries() timings over $GRAFT_SF_DIR.
+Headline: the flagship encode job (streaming read_parquet -> BlockEncoder
+tasks -> block table) over the deterministic F1 source-code corpus
+(repo, path, commit, lang, content — the BASELINE.json input_hint
+shape, synthesized at bench scale per the no-external-data rule), plus
+decode + sha256 verify. Reports GB/s of content bytes and compressed
+size vs the reference pyarrow-zstd3 parquet. Secondary: representative
+queries() timings over $GRAFT_SF_DIR.
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline encode sec>, "unit": "sec",
@@ -131,7 +131,6 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
     import ray.data as rd
 
     from rayenc import decode_dataset, encode_dataset, reference_parquet_bytes, verify_blocks
-    from rayenc.encode import default_pool_size
 
     corpus_path, meta = ensure_corpus()
 
@@ -140,7 +139,7 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
     # steady-state compute (the 100 TB regime), not process spin-up
     for f in sorted(os.listdir(corpus_path)):
         pq.read_table(os.path.join(corpus_path, f))
-    pool = default_pool_size()
+    pool = num_cpus  # encode and decode task cap: every CPU
     # flagship operating point: decode_weight=0.1 + enc_cap=10 (round 4).
     # Round 3's decode-cost guard alone picked plain@12 for bulk content —
     # best size (0.616) and fast decode, but zstd-12 encodes at ~20 MB/s/core
@@ -156,7 +155,7 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
     # Selection runs ONCE on the idle driver (homogeneous corpus); the
     # timed runs ship the choices as forced codecs — the steady-state
     # shape of a 100 TB job, where one selection amortizes over the whole
-    # input instead of once per actor per restart.
+    # input instead of once per worker per retry.
     from rayenc.encode import preselect_codecs
 
     forced = preselect_codecs(
@@ -165,7 +164,7 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
     )
     encode_dataset(
         rd.read_parquet(corpus_path), block_rows=8000, hash_column="content",
-        concurrency=(pool, pool), decode_weight=DW, enc_cap=EC,
+        concurrency=pool, decode_weight=DW, enc_cap=EC,
         forced_codecs=forced,
     ).materialize()
 
@@ -177,7 +176,7 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
         t0 = time.perf_counter()
         ds = rd.read_parquet(corpus_path)
         blocks = encode_dataset(
-            ds, block_rows=8000, hash_column="content", concurrency=(pool, pool),
+            ds, block_rows=8000, hash_column="content", concurrency=pool,
             decode_weight=DW, enc_cap=EC, forced_codecs=forced,
         ).materialize()
         encode_samples.append(time.perf_counter() - t0)
@@ -195,7 +194,7 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
     v = {"ok": True}
     if not headline_only:
         t0 = time.perf_counter()
-        for _ in decode_dataset(blocks, concurrency=(pool, pool)).iter_batches(
+        for _ in decode_dataset(blocks, concurrency=pool).iter_batches(
             batch_size=None, batch_format="pyarrow"
         ):
             pass
@@ -220,7 +219,7 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
             t0 = time.perf_counter()
             blocks0 = encode_dataset(
                 rd.read_parquet(corpus_path), block_rows=8000,
-                hash_column="content", concurrency=(pool, pool),
+                hash_column="content", concurrency=pool,
                 forced_codecs=forced0,
             ).materialize()
             so_samples.append(time.perf_counter() - t0)
@@ -229,7 +228,7 @@ def run_bench(num_cpus: int, sf_dir: str) -> dict:
             for r in blocks0.select_columns(["encoded_bytes"]).take_all()
         )
         t0 = time.perf_counter()
-        for _ in decode_dataset(blocks0, concurrency=(pool, pool)).iter_batches(
+        for _ in decode_dataset(blocks0, concurrency=pool).iter_batches(
             batch_size=None, batch_format="pyarrow"
         ):
             pass
@@ -407,7 +406,9 @@ def main() -> None:
             )
         )
         return
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    from rayenc.dispatch import local_ray_cpus
+
+    ncpu = local_ray_cpus()
     print(json.dumps(run_bench(ncpu, sf_dir)))
 
 

@@ -4,8 +4,8 @@ Built from scratch against the behavior of REASY/parquet-playground-rs
 (see SURVEY.md; citations into /root/reference throughout): streaming
 ``ray.data.Dataset`` reads of a source-code Parquet table
 (repo, path, commit, lang, content), ``map_batches`` over zero-copy
-Arrow batches into an actor-pool encode stage that samples each block's
-columns, auto-selects a codec (dict / rle / fsst / bitpack / foref /
+Arrow batches into an encode stage run as Ray Data tasks that samples
+each block's columns, auto-selects a codec (dict / rle / fsst / bitpack / foref /
 bss / alp / zstd-plain), and writes compressed column blocks plus per-partition
 codec lineage + metrics to a resumable manifest. Decode reproduces every
 value bit-identically (per-row content sha256 verified).

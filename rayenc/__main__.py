@@ -11,7 +11,8 @@
 Owns its Ray session (library code never does): guarded ray.init,
 shutdown at exit. Under ``ray job submit`` (``RAY_ADDRESS`` set to the
 cluster) it attaches to that cluster; otherwise (unset or ``local``) it
-starts a local one with num_cpus from RAY_GRAFT_CPUS (default 32).
+starts a local one with num_cpus from RAY_GRAFT_CPUS (default: the CPUs
+this process may run on).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import time
 def _init_ray() -> None:
     import ray
 
+    from rayenc.dispatch import local_ray_cpus
+
     if not ray.is_initialized():
         address = os.environ.get("RAY_ADDRESS") or "local"
         if address != "local":
@@ -35,7 +38,7 @@ def _init_ray() -> None:
         else:
             ray.init(
                 address="local",
-                num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                num_cpus=local_ray_cpus(),
                 include_dashboard=False,
                 logging_level="ERROR",
             )

@@ -7,7 +7,7 @@ One encoded column chunk = one self-describing byte blob:
 The header records codec name, row count, arrow type, null count and the
 codec's params plus section lengths, so any worker can decode a block
 with no out-of-band state (per-block symbol tables etc. live in the
-sections — the property that keeps encode actors restart-safe,
+sections — the property that keeps encode tasks restart-safe,
 SURVEY.md §2.3 T1). Validity is handled here, NOT in codecs: codecs see
 null-free arrays (nulls filled with "" / 0), and the container restores
 the bitmap on decode — the explicit-null-bitmap discipline the

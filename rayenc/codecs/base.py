@@ -4,7 +4,7 @@ The reference's only abstraction seam is the ``ColumnsBuilder`` trait
 (/root/reference/src/columns_builder.rs:12-21); our analog is ``Codec``:
 a pure ``encode(array) -> (params, sections)`` / ``decode -> array`` pair
 with zero Ray dependencies, so codecs are unit-testable in isolation and
-the actor pool just holds a registry (SURVEY.md §2.3 T1).
+an encode worker just holds a registry (SURVEY.md §2.3 T1).
 
 Contract:
 - ``encode`` receives a NULL-FREE, single-chunk pyarrow array (the block

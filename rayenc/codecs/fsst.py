@@ -3,7 +3,7 @@
 After "FSST: Fast Random Access String Compression" (VLDB 2020, see
 PAPERS.md): replace frequent byte sequences (symbols of 1..8 bytes, at
 most 255 of them — the paper's bounds) with one-token codes; the symbol
-table ships in the block header, so encode actors stay stateless /
+table ships in the block header, so encode workers stay stateless /
 restart-safe (SURVEY.md §2.3 T1).
 
 Structure:

@@ -1,15 +1,16 @@
 """One Ray Data task dispatch for every rayenc stage.
 
 A stage is a class whose instance turns one Arrow batch into one Arrow
-batch (the job partition stages, `BlockDecoder`, the ANN and
-decontamination scorers). `map_stage` runs it as Ray Data tasks, not as
-an actor pool: task workers outlive the call, so a later operation finds
-rayenc, pyarrow and numpy already imported, and an idle task holds no
-CPU. Each worker keeps the stage of the operation it last served in a
-one-slot dict keyed by a per-call token, so the stage is built once per
-worker per call and reused for every later batch of that call. Two
-dispatched stages chained in one pipeline would evict each other's
-slot and rebuild per batch; no rayenc pipeline chains two.
+batch (`BlockEncoder`, `BlockDecoder`, the job partition stages, the
+dedup, language-id, multimodal, histogram, ANN and decontamination
+stages). `map_stage` runs it as Ray Data tasks, not as an actor pool:
+task workers outlive the call, so a later operation finds rayenc,
+pyarrow and numpy already imported, and an idle task holds no CPU. Each
+worker keeps the stages of the operations it last served in a small
+dict keyed by a per-call token, so a stage is built once per worker per
+call and reused for every later batch of that call (an encoder's codec
+cache carries across them). It holds two, so the two stages of a lazy
+encode -> decode chain keep theirs while their batches alternate.
 
 A task may hold more than one CPU (the job partition stages reserve
 the cluster's CPUs their task cap leaves idle). It spends them through
@@ -22,14 +23,16 @@ behind in every worker that grow its memory by hundreds of MB.
 
 from __future__ import annotations
 
+import os
 import queue
 import secrets
 import threading
 from concurrent.futures import Future
 
-# The stage of the operation this worker process last served:
-# op token -> stage object. One slot, so a new operation's token evicts
-# the previous operation's stage.
+# The stages of the operations this worker process served last:
+# op token -> stage object, least recently used first. A new operation's
+# stage evicts the least recently used one past `_STAGE_SLOTS`.
+_STAGE_SLOTS = 2
 _STAGE_SLOT: dict = {}
 
 
@@ -123,6 +126,30 @@ def fan_out(fn, items) -> list:
     return out
 
 
+def local_ray_cpus() -> int:
+    """Logical CPUs for a local Ray that a rayenc entry point starts:
+    `RAY_GRAFT_CPUS`, else the CPUs this process may run on."""
+    return int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
+
+
+def cluster_cpus(default: int = 8) -> int:
+    """Cluster CPU count, or `default` when Ray cannot say."""
+    try:
+        import ray
+
+        return int(ray.cluster_resources().get("CPU", default))
+    except Exception:
+        return default
+
+
+def spare_cpus(limit: int | None = None) -> int:
+    """Two fewer than the cluster's CPUs, at least 2 and at most `limit`:
+    the default task cap of the job stages and the default bucket or
+    partition count of the shuffle stages."""
+    spare = cluster_cpus() - 2
+    return max(2, spare if limit is None else min(limit, spare))
+
+
 def largest_node_cpus() -> int:
     """CPU count of the largest live node: the most one task can hold."""
     import ray
@@ -142,13 +169,14 @@ def slot_stage(stage_class: type, ctor_kwargs: dict, op_token: str):
     """The operation's stage in this worker: built on the operation's
     first batch here, reused for every later one, so the stage's setup
     (and an encoder's codec cache) carries across batches."""
-    stage = _STAGE_SLOT.get(op_token)
+    stage = _STAGE_SLOT.pop(op_token, None)
     if stage is None:
-        # built before the old stage is dropped, so a new stage never
-        # reuses the previous operation's object id
+        # built before an old stage is dropped, so a new stage never
+        # reuses an earlier operation's object id
         stage = stage_class(**ctor_kwargs)
-        _STAGE_SLOT.clear()
-        _STAGE_SLOT[op_token] = stage
+        while len(_STAGE_SLOT) >= _STAGE_SLOTS:
+            del _STAGE_SLOT[next(iter(_STAGE_SLOT))]
+    _STAGE_SLOT[op_token] = stage
     return stage
 
 
@@ -158,8 +186,8 @@ def run_stage(batch, stage_class: type, ctor_kwargs: dict, op_token: str):
 
 
 def task_cap(concurrency: int | tuple[int, int] | None) -> int | None:
-    """Most tasks in flight: an int as given, a (min, max) pair (the
-    actor-pool form) its upper bound, None no cap."""
+    """Most tasks in flight: an int as given, a (min, max) pair its
+    upper bound, None no cap (Ray Data sizes it)."""
     if isinstance(concurrency, tuple):
         return int(concurrency[1])
     return None if concurrency is None else int(concurrency)

@@ -3,13 +3,14 @@
 The Ray-Data-first restatement of the reference's single-threaded
 encode loop (/root/reference/src/bin/js2pq/main.rs:46-131): where the
 reference materializes one whole file into one RecordBatch on one
-thread, we stream Arrow blocks through a ``map_batches`` actor pool —
-each incoming zero-copy Arrow batch becomes one encoded block (one
-output row holding a binary blob per column + codec lineage + metrics),
-and the streaming executor pipelines read / encode / write with
-backpressure. The actor holds the codec registry and running counters
-(SURVEY.md §2.3 T1); all per-block state (symbol tables, dictionaries)
-ships inside the blocks, so actors are restart-safe.
+thread, we stream Arrow blocks through ``map_batches`` tasks (the
+shared stage dispatch, ``rayenc.dispatch``) — each incoming zero-copy
+Arrow batch becomes one encoded block (one output row holding a binary
+blob per column + codec lineage + metrics), and the streaming executor
+pipelines read / encode / write with backpressure. A worker's encoder
+holds only its codec trial cache (SURVEY.md §2.3 T1); all per-block
+state (symbol tables, dictionaries) ships inside the blocks, so a
+retried task re-encodes the same rows into valid blocks.
 
 Scale notes (100 TB design): no shuffle in this path — encoding is
 embarrassingly parallel over blocks; batch_size bounds rows per block so
@@ -30,6 +31,7 @@ import pyarrow as pa
 import ray.data
 
 from .blocks import encode_column
+from .dispatch import map_stage
 from .rowhash import chain_hash
 from .selector import encode_column_auto
 
@@ -214,36 +216,13 @@ def column_kll(arr: pa.Array | pa.ChunkedArray, k: int = 128) -> str | None:
         return None
 
 
-def cluster_cpus(default: int = 8) -> int:
-    """Cluster CPU count with a safe fallback — the one shared probe
-    behind every pool-size default (encode pool, job stage task caps)."""
-    try:
-        import ray
-
-        return int(ray.cluster_resources().get("CPU", default))
-    except Exception:
-        return default
-
-
-def default_pool_size() -> int:
-    """Encode-pool size: ~3/4 of cluster CPUs, the rest left for the read
-    stage. A pool that reserves every CPU starves the upstream read tasks
-    and serializes the pipeline (measured: 32 actors on 32 CPUs ran 2.4x
-    SLOWER than 24 on the same input) — and on a 2-CPU cluster it
-    DEADLOCKS outright: both CPUs go to actors, the read task stays
-    backpressured forever (reproduced via bench.py --scaling at the
-    2-cpu leg). Always leave at least one CPU for the read when the
-    cluster has more than one."""
-    cpus = cluster_cpus()
-    return max(1, min(cpus - 1, max(2, (cpus * 3) // 4)))
-
-
 class BlockEncoder:
-    """map_batches callable: one input Arrow batch -> one block row.
+    """Stage callable: one input Arrow batch -> one block row.
 
-    Stateful-stage pattern: construct once per encoder stage (codec
-    registry, counters), called per batch — the Ray analog of the reference's
-    reusable ``Builders`` accumulator
+    Stateful stage: built once per worker per encode (`dispatch.map_stage`
+    keeps it in the worker's stage slot) and called per batch, so its
+    codec trial cache carries across the batches that worker encodes —
+    the Ray analog of the reference's reusable ``Builders`` accumulator
     (/root/reference/src/columns_builder.rs:23-33,109-147).
     """
 
@@ -640,12 +619,12 @@ def preselect_codecs(
     """Run the codec selector ONCE on the driver over a deterministic
     block-sized sample and return {column: codec} for `forced_codecs`.
 
-    One idle-driver selection (trials + runoff) replaces a per-actor
-    first-block trial on every encoder in the pool — measured 85 core-s
-    of trial work on a 24-actor flagship run, and, worse, inconsistent
-    picks across actors when pool contention skews the trial timings.
-    Right for homogeneous corpora; at 100 TB the one-off cost is noise
-    while the per-actor (and per-restart) trial cost is not. The sample
+    One idle-driver selection (trials + runoff) replaces a first-block
+    trial in every encoder — measured 85 core-s of trial work on a
+    24-encoder flagship run, and, worse, inconsistent picks across
+    encoders when CPU contention skews the trial timings. Right for
+    homogeneous corpora; at 100 TB the one-off cost is noise while the
+    per-worker (and per-retry) trial cost is not. The sample
     is stratified across the input files when `ds` is a pure parquet
     read (see _preselect_sample) so the choice map is reproducible
     across sessions."""
@@ -686,29 +665,27 @@ def encode_dataset(
 ) -> "ray.data.Dataset":
     """Streaming encode: Dataset of source rows -> Dataset of block rows.
 
-    concurrency=None autoscales (1, ~3/4 of cluster CPUs). The cap leaves
-    CPUs for the read stage (a full-width pool starves it — measured 2.4x
-    slowdown); min=1 keeps the pool from reserving CPUs it cannot use yet.
-    A decode chained after it in one lazy pipeline runs as tasks, which
-    hold no CPU while idle, so the pool's cap is what leaves the read and
-    the decode a CPU. Benchmarks that run one stage at a time pass an
-    explicit fixed (n, n) pool to skip the autoscaler ramp.
+    Each batch of `block_rows` rows becomes one block, encoded by a
+    `BlockEncoder` run as Ray Data tasks (`dispatch.map_stage`): at most
+    `concurrency` in flight (an int, or a (min, max) pair's upper
+    bound), and Ray Data sizes it when None. Each worker builds one
+    encoder per call, so a worker trials each column on its first block
+    and every `retrial_blocks` after that.
 
     `forced_codecs=preselect_codecs(ds, ...)` runs the codec selector
     ONCE on the driver over a block-sized sample and ships the choices as
-    forced codecs — every actor then encodes directly (no per-actor
-    first-block trials, no runoff double-encodes). Right for homogeneous
-    corpora where per-partition drift is small; leave it unset when
-    column distributions shift across the input (the per-actor trial
-    cache re-adapts every `retrial_blocks`). A forced codec that fails on
-    a later block falls back to plain per block."""
+    forced codecs — every worker then encodes directly (no first-block
+    trials, no runoff double-encodes). Right for homogeneous corpora
+    where per-partition drift is small; leave it unset when column
+    distributions shift across the input (the trial cache re-adapts
+    every `retrial_blocks`). A forced codec that fails on a later block
+    falls back to plain per block."""
     if columns:
         ds = ds.select_columns(columns)
-    if concurrency is None:
-        concurrency = (1, default_pool_size())
-    return ds.map_batches(
+    return map_stage(
+        ds,
         BlockEncoder,
-        fn_constructor_kwargs={
+        {
             "columns": columns,
             "level": level,
             "hash_column": hash_column,
@@ -727,10 +704,9 @@ def encode_dataset(
             "ngram": ngram,
             "ngram_n": ngram_n,
         },
-        batch_format="pyarrow",
+        concurrency=concurrency,
         batch_size=block_rows,
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
@@ -806,8 +782,8 @@ def compact_blocks(
     concurrency: int | tuple[int, int] | None = None,
 ) -> "ray.data.Dataset":
     """Re-block an encoded block table: decode -> re-encode at the target
-    block size, streaming end to end (decode tasks and the encode actor
-    pool pipeline through the object store; nothing materializes). The
+    block size, streaming end to end (decode and encode tasks pipeline
+    through the object store; nothing materializes). The
     maintenance op for long-running ingestion, where many small commits
     leave under-sized blocks that waste header overhead and zstd window
     reach — compaction at 8k+ rows/block recovers both."""

@@ -37,6 +37,8 @@ import pyarrow.parquet as pq
 
 import ray.data
 
+from .dispatch import map_stage
+
 LIST_COLS = ("ts", "sums_double", "sums_long", "count")
 
 
@@ -127,31 +129,31 @@ def pivot_metric(metric: dict, tag_keys: list[str], hexify: bool = False) -> pa.
     return pa.table(cols)
 
 
+class _Pivot:
+    """Stage: a batch of (bytes, path) metric files -> their pivoted rows
+    under the global tag schema."""
+
+    def __init__(self, tag_keys: list[str], hexify: bool):
+        self.tag_keys = tag_keys
+        self.hexify = hexify
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        tables = [
+            pivot_metric(parse_metric(d, p), self.tag_keys, self.hexify)
+            for d, p in zip(batch["bytes"].to_pylist(), batch["path"].to_pylist())
+        ]
+        return pa.concat_tables(tables)
+
+
 def read_histograms(
-    paths: list[str] | str, hexify: bool = False, concurrency=(1, 4)
+    paths: list[str] | str, hexify: bool = False, concurrency=4
 ) -> "ray.data.Dataset":
     """Full js2pq ingestion pipeline: binary files -> Metric parse ->
     global tag schema -> pivoted Dataset (one row per series)."""
     files = ray.data.read_binary_files(paths, include_paths=True)
     tag_keys = infer_tag_schema(files, hexify=hexify)
-
-    class Pivot:
-        def __init__(self):
-            self.tag_keys = tag_keys
-            self.hexify = hexify
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            tables = [
-                pivot_metric(parse_metric(d, p), self.tag_keys, self.hexify)
-                for d, p in zip(
-                    batch["bytes"].to_pylist(), batch["path"].to_pylist()
-                )
-            ]
-            return pa.concat_tables(tables)
-
-    return files.map_batches(
-        Pivot, batch_format="pyarrow", batch_size=1, concurrency=concurrency
-    )
+    return map_stage(files, _Pivot, {"tag_keys": tag_keys, "hexify": hexify},
+                     concurrency=concurrency, batch_size=1)
 
 
 def write_policy_parquet(table: pa.Table, path: str) -> None:

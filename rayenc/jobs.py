@@ -45,8 +45,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .dispatch import cpu_share, fan_out, largest_node_cpus, map_stage, pool_width, task_cap
-from .encode import BlockEncoder, cluster_cpus
+from .dispatch import (cluster_cpus, cpu_share, fan_out, largest_node_cpus, map_stage,
+                       pool_width, spare_cpus, task_cap)
+from .encode import BlockEncoder
 from .manifest import FORMAT_VERSION, Manifest, check_format
 
 DEFAULT_MAX_PARTITION_BYTES = 256 << 20
@@ -587,15 +588,14 @@ def _partition_stage_ds(stage_class: type, items: list, concurrency,
     strings: their nested per-column/lineage dicts vary in shape across
     partitions (post-delete entries carry keys fresh ones lack), which a
     columnar from_items block can't represent uniformly."""
-    cpus = cluster_cpus()
-    cap = max(2, cpus - 2) if concurrency is None else task_cap(concurrency)
+    cap = spare_cpus() if concurrency is None else task_cap(concurrency)
     tasks = max(1, min(cap, len(items)))
     return map_stage(
         _control_ds([{"item": json.dumps(x)} for x in items]),
         stage_class,
         ctor,
         concurrency=tasks,
-        num_cpus=cpu_share(tasks, cpus, largest_node_cpus()),
+        num_cpus=cpu_share(tasks, cluster_cpus(), largest_node_cpus()),
         batch_size=1,
         zero_copy_batch=True,
     )

@@ -6,13 +6,13 @@ the lightweight codecs feed on (same repo -> same dict entries; sorted
 path/commit -> RLE runs). Skew is explicit (north rule): repo follows a
 Zipf — one giant repo can hold ~40% of rows (FIXTURES.md F1) — so giant
 repos are SALTED into `ceil(rows / target)` sub-partitions by a stable
-hash of path, and no single group (hence no single encode actor) stalls
+hash of path, and no single group (hence no single encode task) stalls
 the pipeline.
 
 Two passes:
 1. metadata-sized stats pass: rows per repo (pre-aggregated per batch —
    output is one row per repo per batch, never row-scale);
-2. salt map broadcast via ray.put (read once per actor, never
+2. salt map broadcast via ray.put (read once per worker, never
    re-shipped per batch), then groupby(_pkey).map_groups(sort) — the
    shuffle — feeding the encode stage.
 """

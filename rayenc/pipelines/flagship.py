@@ -20,7 +20,7 @@ from ..verify import verify_blocks
 def flagship(
     sf_dir: str,
     block_rows: int = 2000,
-    concurrency=(1, 4),
+    concurrency=4,
 ) -> "rd.Dataset":
     """encode documents -> verify sha256 chains -> decode; returns the
     decoded Dataset (bit-identical to the source rows)."""

@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data as rd
+from ..dispatch import map_stage
 from ..encode import encode_dataset, lineage_table
 from ..stages import ann, dedup, multimodal, text
 from .flagship import roundtrip_table
@@ -330,7 +331,7 @@ def q_ordered_roundtrip(sf_dir: str):
         columns=["doc_id", "lang"],
         block_rows=128,
         hash_column=None,
-        concurrency=(1, 2),
+        concurrency=2,
     )
     return attach_global_row_numbers(blocks.materialize(), columns=["doc_id", "lang"])
 
@@ -1002,7 +1003,7 @@ def q_approx_quantiles_prices(sf_dir: str) -> pa.Table:
         blocks = encode_dataset(
             ds, block_rows=4000, hash_column=None, kll=True,
             # the leg under test is the sketch fold, not codec selection:
-            # force the numeric codec to skip per-actor trial encodes
+            # force the numeric codec to skip per-worker trial encodes
             forced_codecs={"l_extendedprice": "bss"},
         ).materialize()
         _KLL_META_CACHE[cache_key] = agg_approx_quantiles(blocks, "l_extendedprice", qs)
@@ -1121,7 +1122,7 @@ def q_take_rows_random_access(sf_dir: str) -> pa.Table:
         columns=["doc_id", "lang", "n_chars"],
         block_rows=128,
         hash_column=None,
-        concurrency=(1, 2),
+        concurrency=2,
         stats="page",
         page_rows=32,
     ).materialize()
@@ -1360,8 +1361,8 @@ def q_codec_selection_documents(sf_dir: str) -> pa.Table:
     encoded byte sums; a final __total__ row carries the corpus totals
     (rows encoded + overall bytes), from which the compression ratio is
     derivable. retrial_blocks=0: trial every block so lineage is a pure
-    function of block content (the actor choice cache depends on
-    batch->actor assignment, which Ray does not order deterministically)."""
+    function of block content (a worker's choice cache depends on
+    batch->worker assignment, which Ray does not order deterministically)."""
     ds = _docs(sf_dir)
     blocks = encode_dataset(
         ds, block_rows=2000, hash_column="text", retrial_blocks=0
@@ -1458,19 +1459,15 @@ def q_multimodal_features(sf_dir: str) -> pa.Table:
     t = multimodal.synthesize_media_table(256)
     ds = rd.from_arrow(t)
     out = multimodal.decode_pipeline(ds, decoder=multimodal.ImageDecoder, batch_size=32)
-    resized = out.map_batches(
-        multimodal.FakeResizer, batch_format="pyarrow", concurrency=(1, 2)
-    )
+    resized = map_stage(out, multimodal.FakeResizer, concurrency=2)
     df = resized.to_pandas().sort_values("media_id")
     # Frame-sampling leg (round-4: absorbed the former multimodal_frames
     # query so the registry fits the driver's 50-row window): run the
     # FrameSampler explode pipeline over the same media table and fold the
-    # per-media frame count into the output, so both actor-pool plumbing
-    # paths execute under one CORRECTNESS row.
-    frames = rd.from_arrow(t).map_batches(
-        multimodal.FrameSampler, batch_format="pyarrow", batch_size=32,
-        concurrency=(1, 2),
-    )
+    # per-media frame count into the output, so both the 1:1 and the
+    # exploding stage execute under one CORRECTNESS row.
+    frames = map_stage(rd.from_arrow(t), multimodal.FrameSampler, concurrency=2,
+                       batch_size=32)
     fdf = frames.to_pandas()
     assert {"media_id", "frame_idx", "ts_s"} <= set(fdf.columns)
     n_frames = (

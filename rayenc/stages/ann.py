@@ -187,7 +187,7 @@ def knn_brute(
     k: int = 10,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency=(1, 4),
+    concurrency=4,
 ) -> pa.Table:
     """Exact cosine top-k: (query_id, rank, vec_id, cos) sorted by
     (query_id, rank); ties broken by vec_id for determinism. Null
@@ -243,7 +243,7 @@ def knn_ivf(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     seed: int = 42,
-    concurrency=(1, 4),
+    concurrency=4,
 ) -> pa.Table:
     """IVF approximate top-k: a k-means coarse quantizer (trained on a
     bounded RANDOM sample, centroids broadcast once) assigns every corpus
@@ -356,7 +356,7 @@ def knn_lsh(
     probe_bits: int = 1,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency=(1, 4),
+    concurrency=4,
 ) -> pa.Table:
     """Approximate top-k: each query scores only corpus vectors whose
     LSH bucket is within Hamming distance ``probe_bits`` of ITS OWN

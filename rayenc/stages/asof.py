@@ -35,9 +35,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
+from ..dispatch import spare_cpus
 from .hashing import arrow_schema_of, key_buckets
 
 _SIDE, _BUCKET = "__asof_side", "__asof_b"
@@ -78,7 +78,7 @@ def asof_join(
         # scale shuffle width with the cluster, same default rule as
         # dedup.anti_join_ids; explicit n_buckets overrides (at real
         # scale pick ~(total rows / rows-per-task) buckets)
-        n_buckets = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) - 2))
+        n_buckets = spare_cpus(64)
     lschema = (
         left_schema if left_schema is not None else arrow_schema_of(left.schema())
     )

@@ -68,7 +68,7 @@ def flag_contaminated(
     benchmark_texts: Iterable[str | None],
     text_col: str = "text",
     k: int = 13,
-    concurrency=(1, 4),
+    concurrency=4,
 ) -> "ray.data.Dataset":
     """Append ``contaminated_ngrams`` (count of corpus windows hitting
     the benchmark set) and ``contaminated`` (bool) to every row.

@@ -12,8 +12,8 @@ accepted documents pays for the day, not the months.
 Shape
 -----
 ``n_shards`` Ray actors, each owning the keys whose fingerprint lands in
-its hash slice. ``filter_new()`` stays a normal ``map_batches`` stage:
-the UDF fingerprints its batch (two-seed xxhash — a 128-bit key;
+its hash slice. ``filter_new()`` stays a normal stage run as Ray Data
+tasks (``dispatch.map_stage``): it fingerprints its batch (two-seed xxhash — a 128-bit key;
 64-bit alone birthday-collides around 10^10 rows), routes fingerprints
 to shards, and keeps exactly the rows whose fingerprint was CLAIMED by
 this call. Actors process messages serially, so a claim is atomic
@@ -43,6 +43,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
+
+from ..dispatch import map_stage
 
 from .hashing import hash_array_128
 
@@ -108,8 +110,8 @@ class IndexShard:
 
 
 class _ClaimFilter:
-    """map_batches UDF: fingerprint the key column, claim per shard,
-    keep only first-seen rows. Actor handles ride the constructor."""
+    """Stage: fingerprint the key column, claim per shard, keep only
+    first-seen rows. The shard actor handles ride the constructor."""
 
     def __init__(self, shards: list, key_col: str):
         self.shards = shards
@@ -130,6 +132,14 @@ class _ClaimFilter:
         for idx, mask in zip(slots, ray.get(futures)):
             keep[idx] = mask
         return batch.filter(pa.array(keep))
+
+
+def _claim_task(batch: pa.Table, stage_class: type, ctor_kwargs: dict,
+                op_token: str) -> pa.Table:
+    """Ray Data task body of `filter_new`: a claim filter per batch (it
+    holds only the shard handles), never kept in the worker's stage
+    slot, so no worker keeps the index's actors alive after the call."""
+    return stage_class(**ctor_kwargs)(batch)
 
 
 class DedupIndex:
@@ -168,21 +178,9 @@ class DedupIndex:
         """Dataset stage keeping only rows whose key is NEW to the index
         (this run or any persisted prior run). Claims mutate the index
         as the stage streams — consume the result exactly once."""
-        if concurrency is None:
-            from ..encode import default_pool_size
-
-            # same ~3/4 cap as the encode pool: the filter tasks spend
-            # part of each batch blocked on shard claims, so a full-width
-            # pool just queues on the actors
-            concurrency = (1, default_pool_size())
-        return ds.map_batches(
-            _ClaimFilter,
-            fn_constructor_kwargs={"shards": self.shards, "key_col": key_col},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            concurrency=concurrency,
-        )
+        return map_stage(ds, _ClaimFilter, {"shards": self.shards, "key_col": key_col},
+                         concurrency=concurrency, task=_claim_task,
+                         batch_size=batch_size, zero_copy_batch=True)
 
     def size(self) -> int:
         """Total keys claimed so far (all shards)."""

@@ -39,6 +39,7 @@ import ray
 import ray.data
 
 from ..bloom import _probe_positions, array_probe_hashes
+from ..dispatch import spare_cpus
 
 _BITS_PER_KEY = 10  # ~1% fp at k=7 (shared with rayenc.bloom)
 _MAX_M = 1 << 27  # 128 Mbit = 16 MiB packed — the broadcast cap
@@ -178,7 +179,7 @@ def equi_join(
     if left_on not in lnames or right_on not in rnames:
         raise ValueError(f"join keys {left_on!r}/{right_on!r} not in side schemas")
     if num_partitions is None:
-        num_partitions = max(2, min(32, int(ray.cluster_resources().get("CPU", 8)) - 2))
+        num_partitions = spare_cpus(32)
     n_buckets = int(num_partitions)
     union_schema = pa.schema(
         [left_schema.field(n) for n in lnames]
@@ -308,7 +309,7 @@ def membership_join(
     )
     id_type = arrow_schema.field(id_col).type
     if num_partitions is None:
-        num_partitions = max(2, min(32, int(ray.cluster_resources().get("CPU", 8)) - 2))
+        num_partitions = spare_cpus(32)
     n_buckets = int(num_partitions)
 
     bloom_ref = None

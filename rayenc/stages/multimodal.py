@@ -5,7 +5,7 @@ decode kernels are stubbed two ways (per the brief):
 - ``StrictDecoder`` raises NotImplementedError — the production slot
   where a real libjpeg/ffmpeg call goes;
 - ``FakeDecoder`` produces a deterministic pseudo-decode from the
-  payload bytes, so the Ray-side plumbing — schema, actor-pool
+  payload bytes, so the Ray-side plumbing — schema, stage
   signature, batch sizing, output layout — is real and TESTED.
 
 Layout convention: payload ``bytes`` column + metadata columns
@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 
 import ray.data
+
+from ..dispatch import map_stage
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -151,7 +153,7 @@ class ImageDecoder:
 class FakeDecoder:
     """Deterministic pseudo-decoder: expands payload bytes into a fake
     fixed-size 'pixel' feature vector via seeded hashing. Exercises the
-    exact actor signature / schema a real decoder would have."""
+    exact stage signature / schema a real decoder would have."""
 
     def __init__(self, feature_dim: int = 16):
         self.feature_dim = feature_dim
@@ -181,7 +183,7 @@ class FakeDecoder:
 
 class FakeResizer:
     """Deterministic 'resize': rescales the fake feature vector — stands
-    in for an image resize stage (same actor/batch shape)."""
+    in for an image resize stage (same stage/batch shape)."""
 
     def __init__(self, out_dim: int = 8):
         self.out_dim = out_dim
@@ -338,12 +340,8 @@ def decode_pipeline(
     ds: "ray.data.Dataset",
     decoder=FakeDecoder,
     batch_size: int = 64,  # small: payloads are large binaries
-    concurrency=(1, 4),
+    concurrency=4,
 ) -> "ray.data.Dataset":
-    """Actor-pool decode stage with multimodal-appropriate batch sizing."""
-    return ds.map_batches(
-        decoder,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    """Media decode stage (`decoder`, built once per worker, run as
+    tasks) with multimodal-appropriate batch sizing."""
+    return map_stage(ds, decoder, concurrency=concurrency, batch_size=batch_size)

@@ -17,6 +17,7 @@ import pyarrow as pa
 
 import ray.data
 
+from ..dispatch import spare_cpus
 from .hashing import hash_array_64
 
 
@@ -297,7 +298,7 @@ def approx_quantiles_by(
         ("p%g" % (q * 100)).replace(".", "_") for q in qs
     ]
     bucket_col = "__qb_b"
-    n_buckets = max(2, min(32, int(ray.cluster_resources().get("CPU", 8)) - 2))
+    n_buckets = spare_cpus(32)
     from .hashing import key_buckets
 
     def partials(batch: pa.Table) -> pa.Table:

@@ -2,8 +2,8 @@
 
 All hot paths are vectorized pyarrow.compute / numpy; the only Python
 loops run over compiled-regex match lists (C-backed) or per-distinct
-values. Stateful pieces (compiled regexes, stopword tables) live in
-actor ``__init__`` per the actor-pool pattern.
+values. Stateful pieces (compiled regexes, stopword tables) live in a
+stage's ``__init__``, built once per worker (``dispatch.map_stage``).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
+from ..dispatch import map_stage
 
 _WS_TOKEN = r"\S+"
 
@@ -116,7 +118,7 @@ _STOPWORDS: dict[str, frozenset[str]] = {
 
 
 class LangId:
-    """Actor-pool stage: heuristic language ID, batch-vectorized.
+    """Stage: heuristic language ID, batch-vectorized.
 
     Charset checks (CJK / Cyrillic) run as Arrow count_substring_regex
     over the whole batch; stopword scoring runs over ONE concatenated
@@ -340,13 +342,8 @@ def quality_dataset(ds: "ray.data.Dataset", **kw) -> "ray.data.Dataset":
     return ds.map_batches(lambda b: quality_scores(b, **kw), batch_format="pyarrow")
 
 
-def langid_dataset(ds: "ray.data.Dataset", concurrency=(1, 4), **kw) -> "ray.data.Dataset":
-    return ds.map_batches(
-        LangId,
-        fn_constructor_kwargs=kw,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+def langid_dataset(ds: "ray.data.Dataset", concurrency=4, **kw) -> "ray.data.Dataset":
+    return map_stage(ds, LangId, kw, concurrency=concurrency)
 
 
 def fingerprint_dataset(ds: "ray.data.Dataset", **kw) -> "ray.data.Dataset":

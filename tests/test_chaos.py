@@ -1,10 +1,10 @@
-"""Chaos tests: in-flight actor death during a distributed encode job.
+"""Chaos tests: in-flight task-worker death during a distributed encode job.
 
 tests/test_resume.py covers the DRIVER-level story (whole run killed,
 rerun skips committed partitions). These tests cover the RAY-level
 story: a worker process dies mid-job — the norm, not the exception, on
-a multi-node cluster — and Ray Data's actor-pool restart + task retry
-must carry the job to a correct finish without any driver involvement.
+a multi-node cluster — and Ray's task retry on a fresh worker must
+carry the job to a correct finish without any driver involvement.
 
 The injection point is the worst crash window the sink has: the blocks
 parquet for a partition is already published (durable output) but its
@@ -29,7 +29,7 @@ from rayenc import run_encode_job, verify_blocks
 def test_actor_death_mid_job_completes_and_verifies(
     ray_session, corpus_parquet, tmp_path
 ):
-    """Every partition's first attempt hard-exits its actor AFTER the
+    """Every partition's first attempt hard-exits its worker AFTER the
     blocks file is published and BEFORE the manifest commit; Ray retries
     and the job still finishes exactly-once correct."""
     out = str(tmp_path / "job")
@@ -99,7 +99,7 @@ def test_chaos_then_clean_rerun_is_noop(ray_session, corpus_parquet, tmp_path):
 
 
 def test_actor_death_mid_export_flat_and_hive(ray_session, corpus_parquet, tmp_path):
-    """Exporter actor death in both commit protocols: the flat path dies
+    """Exporter worker death in both commit protocols: the flat path dies
     right AFTER its atomic publish (the retry must skip on the part-file
     glob, not double-export), the hive path dies after the key files and
     BEFORE the _done marker (the retry must re-publish idempotently)."""
@@ -145,7 +145,7 @@ def test_actor_death_mid_export_flat_and_hive(ray_session, corpus_parquet, tmp_p
 
 
 def test_actor_death_mid_enrich_finishes_commit(ray_session, corpus_parquet, tmp_path):
-    """Enricher actor death after the column is published but before the
+    """Enricher worker death after the column is published but before the
     manifest commit: the Ray-retried attempt must take the commit-finish
     path — the column appears exactly once and the manifest catches up."""
     from rayenc.jobs import enrich_job
@@ -184,7 +184,7 @@ def test_actor_death_mid_enrich_finishes_commit(ray_session, corpus_parquet, tmp
 def test_actor_death_mid_delete_and_update_reconciles(
     ray_session, corpus_parquet, tmp_path
 ):
-    """Deleter/updater actor death after the file swap and before the
+    """Deleter/updater worker death after the file swap and before the
     manifest commit: the retried attempt must RECONCILE the entry from
     the published file (rows/hashes/bytes + generation bump + crash
     lineage) — never double-apply, never leave manifest-behind-blocks

@@ -116,3 +116,26 @@ def test_persist_load_roundtrip(ray_session, tmp_path):
 def test_load_requires_marker(ray_session, tmp_path):
     with pytest.raises(FileNotFoundError, match="index.json"):
         DedupIndex.load(str(tmp_path / "missing"))
+
+
+def test_dropped_index_ends_its_actors_after_filter_new(ray_session):
+    """Once `filter_new` has run, dropping the index ends its shard
+    actors: no task worker keeps their handles, so the CPU share each
+    actor reserves comes back for later stages."""
+    import gc
+    import time
+
+    from ray._private import state
+
+    def run_and_drop() -> list[str]:
+        idx = DedupIndex(n_shards=2)
+        ds = idx.filter_new(rd.from_arrow(_docs(range(50))), "content", concurrency=2)
+        assert sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow")) == 50
+        return [s._actor_id.hex() for s in idx.shards]
+
+    ids = run_and_drop()
+    gc.collect()
+    deadline = time.time() + 30
+    while time.time() < deadline and any(state.actors(a)["State"] != "DEAD" for a in ids):
+        time.sleep(0.5)
+    assert [state.actors(a)["State"] for a in ids] == ["DEAD", "DEAD"]

@@ -1,5 +1,6 @@
-"""Shared stage dispatch (rayenc.dispatch): job partition stages and
-decode_dataset run as Ray Data tasks on reused workers."""
+"""Shared stage dispatch (rayenc.dispatch): every rayenc stage (the
+encoder, the decoder, the job partition stages and the dataset stages)
+runs as Ray Data tasks on reused workers."""
 
 from __future__ import annotations
 
@@ -93,6 +94,82 @@ def test_decode_starts_no_actor(ray_session, corpus_parquet, tmp_path):
     assert _actor_ids() == before
 
 
+def test_stages_start_no_actor_but_index_shards(ray_session, corpus_parquet, tmp_path):
+    """The encode front door (lazy, default concurrency, chained into a
+    read), the MinHash, SimHash, language-id, media-decode and histogram
+    stages start no actor: they run as tasks. `DedupIndex.filter_new`
+    starts only the index's own `IndexShard` actors."""
+    import ray.data as rd
+    from ray._private import state
+
+    from rayenc import decode_dataset, encode_dataset
+    from rayenc.histograms import gen_histograms, read_histograms, write_histogram_json
+    from rayenc.stages import multimodal
+    from rayenc.stages.dedup import minhash_candidate_pairs, simhash_pairs
+    from rayenc.stages.dedupindex import DedupIndex
+    from rayenc.stages.text import langid_dataset
+
+    docs = pa.table({
+        "doc_id": pa.array(range(6), type=pa.int64()),
+        "text": ["the quick brown fox jumps over the lazy dog"] * 2
+        + ["der schnelle braune fuchs springt", "le renard brun rapide saute",
+           "a b c", ""],
+    })
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"m{i}.json"))
+        write_histogram_json(paths[-1], gen_histograms(n_series=5, seed=i, metric=f"m{i}"))
+    rd.range(8).materialize()  # starts Ray Data's own actors (stats, autoscaling)
+    before = _actor_ids()
+    enc = encode_dataset(rd.read_parquet(corpus_parquet), block_rows=500)
+    assert decode_dataset(enc).materialize().count() == 3000
+    minhash_candidate_pairs(rd.from_arrow(docs), threshold=0.3, n_bands=32).materialize()
+    simhash_pairs(rd.from_arrow(docs), max_hamming=3).materialize()
+    assert langid_dataset(rd.from_arrow(docs)).materialize().count() == 6
+    media = multimodal.synthesize_media_table(16)
+    assert multimodal.decode_pipeline(rd.from_arrow(media)).materialize().count() == 16
+    assert read_histograms(paths).materialize().count() == 10
+    assert _actor_ids() == before
+    idx = DedupIndex(n_shards=2)
+    assert idx.filter_new(rd.from_arrow(docs), "text").materialize().count() == 5
+    started = _actor_ids() - before
+    assert len(started) == 2
+    assert {state.actors(a)["ActorClassName"] for a in started} == {"IndexShard"}
+    for shard in idx.shards:  # each holds a share of a CPU that later tests count on
+        ray_session.kill(shard)
+
+
+def test_chained_decode_keeps_each_workers_encoder(ray_session, tmp_path, monkeypatch):
+    """A read chained lazily after `encode_dataset` leaves each worker's
+    `BlockEncoder`, and so its codec cache, in the stage slot: each
+    worker builds one encoder, so no block re-trials after its worker's
+    first. With a one-entry slot the two stages evict each other and a
+    worker rebuilds its encoder, and re-trials, on most blocks."""
+    import os
+    import uuid
+
+    import ray.data as rd
+
+    from rayenc import encode as encode_mod
+    from rayenc.corpus import gen_corpus
+    from rayenc.decode import decode_dataset
+
+    marks = str(tmp_path)
+
+    class CountedEncoder(encode_mod.BlockEncoder):
+        def __init__(self, **kw):
+            super().__init__(**kw)
+            open(f"{marks}/{os.getpid()}-{uuid.uuid4().hex}", "w").close()
+
+    monkeypatch.setattr(encode_mod, "BlockEncoder", CountedEncoder)
+    t = gen_corpus(5000, seed=3)
+    src = rd.from_arrow([t.slice(i, 250) for i in range(0, 5000, 250)])
+    blocks = encode_mod.encode_dataset(src, block_rows=250, concurrency=2)
+    assert decode_dataset(blocks).materialize().count() == 5000
+    builds = os.listdir(marks)
+    assert len(builds) == len({b.split("-")[0] for b in builds}), sorted(builds)
+
+
 def test_default_decode_concurrency_fits_one_block(ray_session):
     """With no `concurrency`, a read of a one-block table sets no task
     cap, so Ray Data raises no 'only received 1 input(s)' warning."""
@@ -165,6 +242,43 @@ def test_cpu_share_rule():
     assert cpu_share(6, 4, 4) == 1  # never below one CPU
     assert cpu_share(1, 64, 16) == 16  # a 64-CPU cluster of 16-CPU nodes
     assert cpu_share(2, 48, 8) == 8
+
+
+def test_stage_slot_keeps_the_two_latest_calls(monkeypatch):
+    """Two calls whose batches alternate keep their stages; a third call
+    evicts the least recently used one, which is built anew if it comes
+    back."""
+    from rayenc import dispatch
+
+    monkeypatch.setattr(dispatch, "_STAGE_SLOT", {})
+    built = []
+
+    class Stage:
+        def __init__(self, name: str):
+            built.append(name)
+
+    for token in ["a", "b", "a", "b", "a", "c", "a", "b"]:
+        dispatch.slot_stage(Stage, {"name": token}, token)
+    assert built == ["a", "b", "c", "b"]
+    assert list(dispatch._STAGE_SLOT) == ["a", "b"]
+
+
+def test_cpu_probes(ray_session, monkeypatch):
+    """`spare_cpus` is two fewer than the cluster's CPUs, at least 2 and
+    at most its limit; `local_ray_cpus` reads RAY_GRAFT_CPUS, else the
+    CPUs this process may run on."""
+    import os
+
+    from rayenc import dispatch
+
+    assert dispatch.cluster_cpus() == 4
+    assert dispatch.spare_cpus() == 2 and dispatch.spare_cpus(64) == 2
+    monkeypatch.setattr(dispatch, "cluster_cpus", lambda: 40)
+    assert (dispatch.spare_cpus(), dispatch.spare_cpus(32), dispatch.spare_cpus(1)) == (38, 32, 2)
+    monkeypatch.delenv("RAY_GRAFT_CPUS", raising=False)
+    assert dispatch.local_ray_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("RAY_GRAFT_CPUS", "3")
+    assert dispatch.local_ray_cpus() == 3
 
 
 def test_pool_width_outside_a_task_is_one(ray_session):

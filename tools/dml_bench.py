@@ -2,7 +2,8 @@
 snapshot / enrich_many / update(scrub) / delete / fsck over it.
 
 Usage: python tools/dml_bench.py [ROWS]  (default 2_000_000 ≈ 4.7 GB)
-RAY_GRAFT_CPUS sets Ray's logical CPU count (default 32), as in bench.py.
+RAY_GRAFT_CPUS sets Ray's logical CPU count (default: the CPUs this
+process may run on), as in bench.py.
 
 The point is the ZONE-BOUNDED claim: a narrow delete/update must cost a
 metadata scan plus a few partition rewrites, not a full re-encode —
@@ -23,7 +24,9 @@ import ray
 
 def main() -> None:
     rows = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
-    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+    from rayenc.dispatch import local_ray_cpus
+
+    ray.init(address="local", num_cpus=local_ray_cpus(),
              include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 

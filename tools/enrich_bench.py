@@ -2,7 +2,8 @@
 single-column enrich_job over the same encoded corpus.
 
 Usage: python tools/enrich_bench.py [ROWS]  (default 200_000)
-RAY_GRAFT_CPUS sets Ray's logical CPU count (default 32), as in bench.py.
+RAY_GRAFT_CPUS sets Ray's logical CPU count (default: the CPUs this
+process may run on), as in bench.py.
 
 Generates the deterministic synthetic corpus, encodes it once, then
 times (a) enrich_many({lang_pred, quality, n_tok}) in ONE decode pass
@@ -25,7 +26,9 @@ import ray
 
 def main() -> None:
     rows = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
-    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+    from rayenc.dispatch import local_ray_cpus
+
+    ray.init(address="local", num_cpus=local_ray_cpus(),
              include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 

@@ -186,7 +186,8 @@ def run_flagship(rows: int) -> dict:
     import ray.data as rd
 
     from rayenc import decode_dataset, encode_dataset, verify_blocks
-    from rayenc.encode import default_pool_size, preselect_codecs
+    from rayenc.dispatch import cluster_cpus
+    from rayenc.encode import preselect_codecs
 
     os.environ["RAYENC_BENCH_ROWS"] = str(rows)
     import bench  # reads RAYENC_BENCH_ROWS at import
@@ -197,7 +198,7 @@ def run_flagship(rows: int) -> dict:
     for f in sorted(os.listdir(corpus_path)):
         pq.read_table(os.path.join(corpus_path, f))
 
-    pool = default_pool_size()
+    pool = cluster_cpus()
     DW, EC = 0.1, 10.0
     forced = preselect_codecs(
         rd.read_parquet(corpus_path), block_rows=8000, decode_weight=DW, enc_cap=EC
@@ -206,7 +207,7 @@ def run_flagship(rows: int) -> dict:
     t0 = time.perf_counter()
     blocks = encode_dataset(
         rd.read_parquet(corpus_path), block_rows=8000, hash_column="content",
-        concurrency=(pool, pool), decode_weight=DW, enc_cap=EC, forced_codecs=forced,
+        concurrency=pool, decode_weight=DW, enc_cap=EC, forced_codecs=forced,
     ).materialize()
     encode_s = time.perf_counter() - t0
 
@@ -215,7 +216,7 @@ def run_flagship(rows: int) -> dict:
     src = sum(r["source_bytes"] for r in enc_rows)
 
     t0 = time.perf_counter()
-    for _ in decode_dataset(blocks, concurrency=(pool, pool)).iter_batches(
+    for _ in decode_dataset(blocks, concurrency=pool).iter_batches(
         batch_size=None, batch_format="pyarrow"
     ):
         pass
@@ -241,11 +242,13 @@ def run_flagship(rows: int) -> dict:
 
 
 def main() -> None:
+    from rayenc.dispatch import local_ray_cpus
+
     ap = argparse.ArgumentParser()
     ap.add_argument("--skip-flagship", action="store_true")
     ap.add_argument("--flagship-rows", type=int, default=12_000_000)
     ap.add_argument("--scales", default="1,10,100")
-    ap.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+    ap.add_argument("--num-cpus", type=int, default=local_ray_cpus())
     args = ap.parse_args()
 
     import ray
