@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import operator
-import pickle
 from typing import Any, Callable
 
 import numpy as np
@@ -26,7 +25,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .blocks import decode_column
-from .dispatch import map_stage, slot_stage
+from .dispatch import fold, map_stage, merge_all, slot_stage
 
 # (column, op, value) predicates; op in {"==", ">=", "<=", ">", "<",
 # "!=", "in", "prefix", "contains"} ("in" takes a list/tuple/set of
@@ -259,41 +258,20 @@ def _n_rows(batch: pa.Table, i: int) -> int:
     return int(batch["n_rows"][i].as_py()) if "n_rows" in batch.column_names else 0
 
 
-def _merge_all(parts, merge: Callable):
-    """Fold the non-None partials with `merge`, in order, as they come;
-    None when there are none."""
-    acc = None
-    for p in parts:
-        if p is not None:
-            acc = p if acc is None else merge(acc, p)
-    return acc
-
-
 def _fold_blocks(blocks: "ray.data.Dataset", cols: list[str] | None,
                  part: Callable, merge: Callable):
-    """The one block-metadata fold behind every zone aggregate: project
-    the block table to `cols` (None keeps every column), run one Ray
-    Data task per batch of block rows that calls `part(batch, i, zone)`
-    for each row (None = the block contributes nothing) and folds the
-    results with `merge` into one partial, then fold the tasks' partials
-    on the driver with the SAME `merge`. The driver sees one row per
-    batch, never one per block. None when no block contributed (or the
-    block table is empty)."""
+    """`dispatch.fold` over block rows, the one block-metadata fold behind
+    every zone aggregate: project the block table to `cols` (None keeps
+    every column) and fold `part(batch, i, zone)` of each block row
+    (None = the block contributes nothing) with `merge`. None when no
+    block contributed (or the block table is empty)."""
     schema = blocks.schema()
     if schema is None:
         return None
     if cols is not None:
         blocks = blocks.select_columns([c for c in cols if c in schema.names])
-
-    def task(batch: pa.Table) -> pa.Table:
-        acc = _merge_all(
-            (part(batch, i, _zone_at(batch, i)) for i in range(batch.num_rows)),
-            merge,
-        )
-        return pa.table({"p": pa.array([pickle.dumps(acc)], type=pa.binary())})
-
-    rows = blocks.map_batches(task, batch_format="pyarrow").take_all()
-    return _merge_all((pickle.loads(r["p"]) for r in rows), merge)
+    return fold(blocks, lambda batch: merge_all(
+        (part(batch, i, _zone_at(batch, i)) for i in range(batch.num_rows)), merge), merge)
 
 
 def _filter_plan(blocks: "ray.data.Dataset", filter) -> tuple:
@@ -469,7 +447,8 @@ def agg_approx_distinct(blocks: "ray.data.Dataset", col: str) -> float:
     partial fold would silently under-count.
 
     The 100 TB shape: each task folds its batch of block rows to ONE
-    register array; the driver folds n_tasks arrays of 2^b bytes each.
+    register array; merge tasks fold those, and the driver at most
+    FOLD_FAN_IN arrays of 2^b bytes each.
     """
     import base64
 
@@ -516,7 +495,8 @@ def agg_approx_quantiles(
     would silently skew the ranks.
 
     The 100 TB shape: each metadata task folds its batch of block rows
-    to ONE merged sketch; the driver folds n_tasks sketches."""
+    to ONE merged sketch; merge tasks fold those, and the driver at
+    most FOLD_FAN_IN sketches."""
     from .stages.sketch import KllSketch
 
     def part(batch: pa.Table, i: int, zone: dict) -> KllSketch:
@@ -1236,8 +1216,8 @@ def explain_decode(
     blocks: "ray.data.Dataset", filter: list[Predicate] | None
 ) -> dict:
     """Prune-effectiveness report for a filtered decode, computed
-    DISTRIBUTED over the block table (the driver sees one row per
-    batch): how many blocks survive zone+Bloom pruning, how many pages
+    DISTRIBUTED over the block table (the driver merges at most
+    FOLD_FAN_IN partials): how many blocks survive zone+Bloom pruning, how many pages
     (and rows) inside the survivors the page index would actually
     decode, and the blob bytes each stage would ship. Run this before
     pointing a selective decode at a 100 TB block table — a filter that
@@ -1299,26 +1279,22 @@ def _partition_bases(
     """(blocks, partition_seq -> global base row, total rows): the one
     prologue of every global-row-number reader. A lazy `blocks` is
     materialized once and returned pinned, because the caller runs more
-    passes over it (schema probe, this aggregate, its decode) and each
-    would re-run the encode. An empty block table has no bases ({}, 0).
-    Blocks without `row_start` raise RowStartRequired.
+    passes over it (schema probe, this fold, its decode) and each would
+    re-run the encode. An empty block table has no bases ({}, 0). Blocks
+    without `row_start` raise RowStartRequired.
 
-    The bases come from a DISTRIBUTED per-partition aggregate. The
-    groupby shuffles only int64 meta columns and yields n_partitions
-    rows — manifest-sized, a few bytes per input shard — so the driver
-    never materializes per-BLOCK metadata (VERDICT r3 #6: the old
-    take_all of (partition_seq, block_seq, n_rows) was O(n_blocks)
-    driver rows — tens of millions at 100 TB / 8k-row blocks).
+    The bases come from one `dispatch.fold` of per-partition sums in
+    exact Python ints: each partial holds one entry per partition_seq,
+    so the driver merges manifest-sized partials and never per-BLOCK
+    metadata (VERDICT r3 #6: the old take_all of (partition_seq,
+    block_seq, n_rows) was O(n_blocks) driver rows).
 
-    The same aggregate carries two integrity checks that replace the
-    legacy path's per-block total-order guard: a null count of
-    row_start (unordered blocks unioned with ordered ones: schema
-    unification null-fills the blocks that lack it -> RowStartRequired)
-    and per-partition coverage (sum of block rows must equal the
-    partition's row_start span — duplicated blocks from unioned
-    encodes, or a filtered blocks dataset, inflate/deflate the sum and
-    raise instead of silently mis-addressing rows)."""
-    from ray.data.aggregate import Max, Min, Sum
+    The same fold carries two integrity checks in place of a per-block
+    total-order guard: a null count of row_start (unordered blocks
+    unioned with ordered ones: schema unification null-fills the blocks
+    that lack it -> RowStartRequired) and per-partition tiling of
+    [0, rows) (duplicated blocks from unioned encodes, or a filtered
+    blocks dataset, raise instead of silently mis-addressing rows)."""
     from ray.data.dataset import MaterializedDataset
 
     if not isinstance(blocks, MaterializedDataset):
@@ -1329,75 +1305,51 @@ def _partition_bases(
     if "row_start" not in schema.names:
         raise RowStartRequired("no row_start column in the block schema")
 
-    def _meta(t: pa.Table) -> pa.Table:
-        rs = t["row_start"]
-        rs64 = pc.fill_null(pc.cast(rs, pa.int64()), 0)
-        n64 = pc.cast(t["n_rows"], pa.int64())
-        end = pc.add(rs64, n64)
-        return pa.table(
-            {
-                "partition_seq": t["partition_seq"],
-                "n_rows": n64,
-                "rs_null": pc.cast(pc.is_null(rs), pa.int64()),
-                "rs_start": rs64,
-                "rs_end": end,
-                # telescoping term: end^2 - start^2; for blocks exactly
-                # tiling [0, total) these sum to total^2
-                "rs_tel": pc.subtract(
-                    pc.multiply(end, end), pc.multiply(rs64, rs64)
-                ),
-            }
-        )
+    # partition_seq -> [rows, null row_starts, min start, max end,
+    # sum of end^2 - start^2]
+    def add(out: dict, p, y: list) -> None:
+        x = out.get(p)
+        out[p] = y if x is None else [x[0] + y[0], x[1] + y[1], min(x[2], y[2]),
+                                      max(x[3], y[3]), x[4] + y[4]]
 
-    rows = (
-        blocks.select_columns(["partition_seq", "n_rows", "row_start"])
-        .map_batches(_meta, batch_format="pyarrow")
-        .groupby("partition_seq")
-        .aggregate(
-            Sum("n_rows"), Sum("rs_null"), Min("rs_start"), Max("rs_end"),
-            Sum("rs_tel"),
-        )
-        .take_all()
-    )
-    if any(int(r["sum(rs_null)"] or 0) > 0 for r in rows):
+    def part(t: pa.Table) -> dict:
+        out: dict = {}
+        for p, n, rs in zip(*(t[c].to_pylist() for c in ("partition_seq", "n_rows", "row_start"))):
+            start = rs or 0
+            add(out, p, [n, rs is None, start, start + n, (start + n) ** 2 - start * start])
+        return out
+
+    def merge(a: dict, b: dict) -> dict:
+        out = dict(a)
+        for p, y in b.items():
+            add(out, p, y)
+        return out
+
+    parts = fold(blocks.select_columns(["partition_seq", "n_rows", "row_start"]), part, merge) or {}
+    if any(x[1] for x in parts.values()):
         raise RowStartRequired(
             "row_start is null on some blocks — unordered blocks mixed "
             "with ordered ones"
         )
-    rows.sort(key=lambda r: r["partition_seq"])
     bases: dict = {}
     acc = 0
-    for r in rows:
-        total = int(r["sum(n_rows)"])
+    for p, (total, _, lo, hi, tel) in sorted(parts.items()):
         # three necessary tiling conditions over [0, total): row counts
         # sum to the span end, the span starts at 0, and the telescoping
         # sum of end^2 - start^2 equals total^2. The first alone misses
         # COMPENSATING corruption (a missing prefix block plus a
         # duplicated later block of equal size keeps the sum), which the
         # telescoping sum catches (duplicated high spans over-weigh).
-        # The squares are compared MODULO 2^64: Arrow's multiply/sum wrap
-        # int64 silently, so past ~3e9 rows per partition the raw
-        # comparison would spuriously fail on valid data — folding the
-        # Python side to the same residue makes the check a modular
-        # checksum, sound at any partition size.
-        tel = int(r["sum(rs_tel)"]) % (1 << 64)
-        want = (total * total) % (1 << 64)
-        if (
-            total != int(r["max(rs_end)"])
-            or int(r["min(rs_start)"]) != 0
-            or tel != want
-        ):
+        if total != hi or lo != 0 or tel != total * total:
             raise ValueError(
-                "blocks lack a total order (partition "
-                f"{int(r['partition_seq'])}: block rows sum to "
-                f"{total} but row_start spans "
-                f"[{int(r['min(rs_start)'])}, {int(r['max(rs_end)'])}) with "
-                f"telescoping checksum {tel} != {want} "
+                f"blocks lack a total order (partition {int(p)}: block rows "
+                f"sum to {total} but row_start spans [{lo}, {hi}) with "
+                f"telescoping checksum {tel} != {total * total} "
                 "— duplicated or missing blocks, e.g. a union of two "
                 "encodes or a filtered blocks dataset); re-encode with "
                 "encode_dataset_ordered or the resumable job"
             )
-        bases[int(r["partition_seq"])] = acc
+        bases[int(p)] = acc
         acc += total
     return blocks, bases, acc
 
@@ -1508,9 +1460,9 @@ def attach_global_row_numbers(
     shuffle or sort: a control-plane pass over the block metadata
     Requires ordered blocks carrying ``row_start`` (recorded at encode
     time by rayenc.jobs.encode_dataset_ordered or the resumable job):
-    only per-PARTITION bases are computed — a distributed groupby
-    yielding n_partitions rows — so nothing per-block reaches the
-    driver (VERDICT r3 #6). Blocks without row_start (unordered
+    only per-PARTITION bases are computed — one fold whose partials hold
+    an entry per partition — so nothing per-block reaches the driver
+    (VERDICT r3 #6). Blocks without row_start (unordered
     encode_dataset output) raise RowStartRequired: re-encode with an
     ordered path (the O(n_blocks) driver offset map is retired, VERDICT
     r4 #7)."""

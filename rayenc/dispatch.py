@@ -19,15 +19,24 @@ threads, not more worker processes, because each worker that has run a
 rayenc task holds a few hundred MB of imports, and one pool reused by
 every call, because a pool built per call leaves glibc malloc arenas
 behind in every worker that grow its memory by hundreds of MB.
+
+Every mergeable aggregate (zone aggregates, sketches, the key Bloom,
+low-cardinality group-by, row-number bases) reduces through `fold`: one
+partial per batch in Ray Data tasks, merged in tasks `FOLD_FAN_IN` at a
+time until the driver has at most `FOLD_FAN_IN` left to merge.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import pickle
 import queue
 import secrets
 import threading
 from concurrent.futures import Future
+
+import pyarrow as pa
 
 # The stages of the operations this worker process served last:
 # op token -> stage object, least recently used first. A new operation's
@@ -210,3 +219,68 @@ def map_stage(ds, stage_class: type, ctor_kwargs: dict | None = None,
         batch_format="pyarrow",
         **map_kwargs,
     )
+
+
+# Most partials one merge step takes: a merge task's inputs, and what
+# the driver merges at the end.
+FOLD_FAN_IN = 32
+# A fold's partials travel as pickles in a one-column table, so every
+# partial and merge task emits this one schema.
+_FOLD_SCHEMA = pa.schema([("p", pa.large_binary())])
+
+
+def _fold_table(acc) -> pa.Table:
+    """One pickled partial as a fold table; zero rows for None."""
+    rows = [] if acc is None else [pickle.dumps(acc, pickle.HIGHEST_PROTOCOL)]
+    return pa.table([pa.array(rows, pa.large_binary())], schema=_FOLD_SCHEMA)
+
+
+def merge_all(parts, merge):
+    """Fold the non-None partials with `merge`, in order, as they come;
+    None when there are none."""
+    acc = None
+    for p in parts:
+        if p is not None:
+            acc = p if acc is None else merge(acc, p)
+    return acc
+
+
+def _merge_tables(tables, merge):
+    return merge_all((pickle.loads(p) for t in tables for p in t["p"].to_pylist()), merge)
+
+
+def _merge_task(merge, *tables: pa.Table) -> pa.Table:
+    return _fold_table(_merge_tables(tables, merge))
+
+
+@functools.cache
+def _remote_merge():
+    import ray
+
+    return ray.remote(_merge_task)
+
+
+def fold(ds: "ray.data.Dataset", part, merge):
+    """Reduce `ds` to one value: `part(batch)` turns each pyarrow batch
+    into a partial (None: the batch contributes nothing) inside Ray Data
+    tasks, and the associative `merge(a, b)` combines two partials. The
+    partial pass is one Ray Data execution. While more than
+    `FOLD_FAN_IN` partials remain, tasks merge them `FOLD_FAN_IN` at a
+    time, each round chained on the last without waiting for it, so the
+    driver merges at most `FOLD_FAN_IN`: never one per batch. None when
+    no batch contributed (or `ds` is empty)."""
+    import ray
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return _fold_table(part(batch) if batch.num_rows else None)
+
+    level = [  # (block ref, partials it holds)
+        (ref, meta.num_rows)
+        for bundle in ds.map_batches(partial, batch_format="pyarrow").iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]
+    while sum(n for _, n in level) > FOLD_FAN_IN:
+        level = [(_remote_merge().remote(merge, *(ref for ref, _ in level[i:i + FOLD_FAN_IN])), 1)
+                 for i in range(0, len(level), FOLD_FAN_IN)]
+    return _merge_tables(ray.get([ref for ref, _ in level]), merge)

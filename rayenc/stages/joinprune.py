@@ -5,7 +5,7 @@ key set can't broadcast the keys exactly (billions of 8-byte keys blow
 the object store) and shouldn't shuffle the whole fact table either
 (most rows don't match). The standard warehouse answer is a Bloom
 SIDEBAND: build one Bloom filter over the key side (distributed,
-OR-mergeable — the build is a tree reduce, never a driver loop),
+OR-mergeable — the build is one ``dispatch.fold``, never a driver loop),
 broadcast the filter once via ``ray.put`` (capped at ``_MAX_M`` bits so
 it stays object-store-friendly; past the cap the false-positive rate
 rises gracefully and pruning degrades but correctness never does), and
@@ -39,7 +39,7 @@ import ray
 import ray.data
 
 from ..bloom import _probe_positions, array_probe_hashes
-from ..dispatch import spare_cpus
+from ..dispatch import fold, spare_cpus
 
 _BITS_PER_KEY = 10  # ~1% fp at k=7 (shared with rayenc.bloom)
 _MAX_M = 1 << 27  # 128 Mbit = 16 MiB packed — the broadcast cap
@@ -61,8 +61,8 @@ def build_key_bloom(
 ) -> bytes | None:
     """Distributed Bloom build over ``keys[column]``: each batch sets its
     bits into a zeroed filter (vectorized double-hash probes), partials
-    OR-merge through a log-depth tree reduce, and the driver receives
-    exactly ONE packed filter. Returns None for unsupported key types
+    OR-merge through ``dispatch.fold``, and the driver merges at most
+    FOLD_FAN_IN packed filters. Returns None for unsupported key types
     (callers skip pruning — the safe default). ``expected_keys`` sizes
     the filter; an estimate is fine (Parquet row counts, a manifest
     total) — undersizing only raises the false-positive rate."""
@@ -73,47 +73,24 @@ def build_key_bloom(
     # whole filter (None -> caller skips pruning).
     m = bloom_size_bits(expected_keys, bits_per_key)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def part(b: pa.Table) -> tuple:  # (ok, packed bits)
         hp = array_probe_hashes(b[column]) if column in b.column_names else None
         bits = np.zeros(m, dtype=np.uint8)
-        ok = hp is not None
-        if ok:
+        if hp is not None:
             h1, h2, valid = hp
             if valid.any():
                 pos = _probe_positions(h1[valid], h2[valid], m)
                 bits[pos.reshape(-1)] = 1
-        packed = np.packbits(bits, bitorder="little")
-        return pa.table(
-            {
-                "bloom": pa.array([packed.tobytes()], type=pa.large_binary()),
-                "ok": pa.array([ok], type=pa.bool_()),
-            }
-        )
+        return hp is not None, np.packbits(bits, bitorder="little")
 
-    def merge(t: pa.Table) -> pa.Table:
-        bufs = [np.frombuffer(v, dtype=np.uint8) for v in t["bloom"].to_pylist()]
-        merged = np.bitwise_or.reduce(np.stack(bufs), axis=0)
-        ok = bool(pc.min(t["ok"]).as_py())
-        return pa.table(
-            {
-                "bloom": pa.array([merged.tobytes()], type=pa.large_binary()),
-                "ok": pa.array([ok], type=pa.bool_()),
-            }
-        )
+    def merge(a: tuple, b: tuple) -> tuple:
+        return a[0] and b[0], np.bitwise_or(a[1], b[1])
 
-    from .sketch import _tree_reduce
-
-    parts = keys.select_columns([column]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-    rows = _tree_reduce(parts, merge)
-    if not rows:
-        # empty key side: an all-zeros filter (prunes everything, which
-        # is exactly right — nothing can match an empty key set)
-        return np.zeros(m // 8, dtype=np.uint8).tobytes()
-    if not rows[0]["ok"]:
-        return None  # unsupported key type somewhere: no filter, no pruning
-    return rows[0]["bloom"]
+    # empty key side: an all-zeros filter (prunes everything, which is
+    # exactly right — nothing can match an empty key set)
+    ok, packed = fold(keys.select_columns([column]), part, merge) or (
+        True, np.zeros(m // 8, dtype=np.uint8))
+    return packed.tobytes() if ok else None
 
 
 def bloom_member_mask(arr: pa.Array | pa.ChunkedArray, packed: np.ndarray) -> np.ndarray:

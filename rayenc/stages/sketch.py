@@ -3,8 +3,9 @@
 The reference has no approximate operators (SURVEY.md §2.4); at 100 TB
 an exact count_distinct is an all-to-all shuffle, while a sketch is one
 small partial per batch merged associatively (the guide's
-emit-a-sketch-per-batch pattern). Used by the codec selector's scale
-path for dict-viability tests; exposed as a standalone op.
+emit-a-sketch-per-batch pattern) through `dispatch.fold`, so the
+driver merges at most FOLD_FAN_IN of them. Exposed as standalone ops:
+HLL distinct counts, Misra-Gries heavy hitters and KLL quantiles.
 
 Standard HLL: b-bit bucket index + rank of leading zeros in the rest,
 numpy-vectorized per batch; partial registers merge by elementwise max.
@@ -12,12 +13,14 @@ numpy-vectorized per batch; partial registers merge by elementwise max.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
 import ray.data
 
-from ..dispatch import spare_cpus
+from ..dispatch import fold, spare_cpus
 from .hashing import hash_array_64
 
 
@@ -113,8 +116,9 @@ class KllSketch:
     by c=2/3 (floored at 8) — giving the O(k) total-memory bound with
     the error concentrated in the cheap low-weight levels. Merge is
     level-wise concatenation + re-compaction, so per-batch partials
-    combine in tree-reduce rounds like the HLL/Misra-Gries sketches
-    above."""
+    combine pairwise through `dispatch.fold` like the HLL/Misra-Gries
+    sketches above; the merged sketch's RNG seed is drawn from the left
+    operand's."""
 
     _C = 2.0 / 3.0  # per-level capacity decay (KLL paper's constant)
     _MIN_CAP = 8
@@ -232,40 +236,24 @@ def approx_quantiles(
     """Distributed approximate quantiles: one KLL partial per batch
     (seeded by a CRC of the batch head so equal-sized batches get
     independent compaction coins; seeds persist through serialization),
-    merged in tree-reduce rounds; the driver sees one final sketch. Rank error
-    ~ O(log(n/k)/k) — k=512 gives well under 1% at millions of rows."""
+    merged pairwise by `KllSketch.merge` through `dispatch.fold`. Rank
+    error ~ O(log(n/k)/k) — k=512 gives well under 1% at millions of
+    rows."""
+    import zlib
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import zlib
-
+    def part(batch: pa.Table) -> KllSketch:
         vals = batch[col].drop_null().to_numpy(zero_copy_only=False)
         # seed from the batch CONTENT so equal-sized batches decorrelate
         # (persisted in the serialized sketch so merges stay decorrelated)
         seed = zlib.crc32(np.asarray(vals[:64], dtype=np.float64).tobytes()) or 1
         sk = KllSketch(k, seed=seed)
         sk.update(np.asarray(vals, dtype=np.float64))
-        return pa.table({"kll": pa.array([sk.to_json()], type=pa.string())})
+        return sk
 
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        # Seed the merge sketch from the incoming partials' persisted seeds
-        # (xor-fold), not a constant — a fixed seed gives every merge task
-        # identical compaction coin sequences across all tree rounds,
-        # re-correlating the compaction decisions the content-seeded
-        # partials exist to decorrelate.
-        parts = [KllSketch.from_json(s) for s in batch["kll"].to_pylist()]
-        seed = 7
-        for p in parts:
-            seed ^= int(p.seed) * 0x9E3779B1 & 0xFFFFFFFF
-        merged = KllSketch(k, seed=seed or 7)
-        for p in parts:
-            merged = merged.merge(p)
-        return pa.table({"kll": pa.array([merged.to_json()], type=pa.string())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    rows = _tree_reduce(parts, merge_batch)
-    if not rows:
+    merged = fold(ds, part, KllSketch.merge)
+    if merged is None:
         return [float("nan")] * len(qs)
-    return KllSketch.from_json(rows[0]["kll"]).quantiles(qs)
+    return merged.quantiles(qs)
 
 
 def approx_quantiles_by(
@@ -335,13 +323,7 @@ def approx_quantiles_by(
         for name in q_names:
             out[name] = []
         for key, grp in df.groupby(key_col, sort=False, dropna=False):
-            parts = [KllSketch.from_json(s) for s in grp["kll"]]
-            seed = 7
-            for p in parts:
-                seed ^= int(p.seed) * 0x9E3779B1 & 0xFFFFFFFF
-            merged = KllSketch(k, seed=seed or 7)
-            for p in parts:
-                merged = merged.merge(p)
+            merged = functools.reduce(KllSketch.merge, map(KllSketch.from_json, grp["kll"]))
             vals = merged.quantiles(qs)
             if key is None or key != key:
                 key = None
@@ -367,31 +349,6 @@ def approx_quantiles_by(
     return tbl.sort_by(key_col)
 
 
-def _tree_reduce(
-    parts: "ray.data.Dataset", merge_batch, fanout: int = 32, max_rounds: int = 12
-) -> list[dict]:
-    """Reduce a Dataset of mergeable partials to ONE row in distributed
-    rounds: each round, map_batches bundles up to `fanout` partial rows
-    per task and merges them into one — log_fanout(n) rounds, and the
-    driver only ever take_all()s the final single row (VERDICT r2 #6:
-    the sequential driver merge was serial in n_batches, millions at
-    100 TB). Returns the final rows (0 or 1)."""
-    for _ in range(max_rounds):
-        parts = parts.map_batches(
-            merge_batch, batch_format="pyarrow", batch_size=fanout
-        ).materialize()
-        if parts.count() <= 1:
-            break
-    rows = parts.take_all()
-    if len(rows) > 1:
-        # rounds exhausted with >1 partial left (can't happen below
-        # fanout^max_rounds inputs, but never silently drop estimate mass):
-        # fold the stragglers with one final driver-side merge.
-        merged = merge_batch(pa.Table.from_pylist(rows))
-        rows = merged.to_pylist()
-    return rows
-
-
 def approx_top_tokens(
     ds: "ray.data.Dataset",
     text_col: str = "text",
@@ -400,46 +357,23 @@ def approx_top_tokens(
 ) -> tuple:
     """Heavy hitters over whitespace tokens with BOUNDED memory
     everywhere: one <=k-entry Misra-Gries summary per batch (vectorized
-    value_counts), merged associatively in distributed tree-reduce
-    rounds (mergeable per Agarwal et al., PODS 2012) — the driver sees
-    one final sketch. Returns (table, exact) where exact is True iff no
-    eviction happened anywhere — then counts equal the true counts and
-    the result is oracle-comparable; at web-scale vocabularies it
-    degrades gracefully to guaranteed-error estimates."""
-    import json as _json
+    value_counts), merged associatively through `dispatch.fold`
+    (mergeable per Agarwal et al., PODS 2012). Returns (table, exact)
+    where exact is True iff no eviction happened anywhere — then counts
+    equal the true counts and the result is oracle-comparable; at
+    web-scale vocabularies it degrades gracefully to guaranteed-error
+    estimates."""
 
-    import pandas as pd
+    # a partial is (summary, evicted)
+    def part(batch: pa.Table) -> tuple:
+        vc = batch[text_col].to_pandas().dropna().str.findall(r"\S+").explode().value_counts()
+        return mg_partial(vc.index.to_list(), vc.to_numpy(), k), len(vc) > k
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b[text_col].dropna().str.findall(r"\S+").explode().value_counts()
-        evicted = len(vc) > k
-        sk = mg_partial(vc.index.to_list(), vc.to_numpy(), k)
-        return pd.DataFrame(
-            {"sketch": [_json.dumps(sk)], "evicted": [bool(evicted)]}
-        )
+    def merge(a: tuple, b: tuple) -> tuple:
+        return (mg_merge(a[0], b[0], k),
+                a[1] or b[1] or len(a[0].keys() | b[0].keys()) > k)
 
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        merged: dict = {}
-        evicted = False
-        for sk_json, ev in zip(
-            batch["sketch"].to_pylist(), batch["evicted"].to_pylist()
-        ):
-            sk = _json.loads(sk_json)
-            evicted = evicted or bool(ev)
-            if len(merged.keys() | sk.keys()) > k:
-                evicted = True
-            merged = mg_merge(merged, sk, k)
-        return pa.table(
-            {
-                "sketch": pa.array([_json.dumps(merged)], type=pa.string()),
-                "evicted": pa.array([evicted], type=pa.bool_()),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pandas")
-    rows = _tree_reduce(parts, merge_batch)
-    merged = _json.loads(rows[0]["sketch"]) if rows else {}
-    evicted = bool(rows[0]["evicted"]) if rows else False
+    merged, evicted = fold(ds, part, merge) or ({}, False)
     top = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:topn]
     t = pa.table(
         {
@@ -452,24 +386,7 @@ def approx_top_tokens(
 
 def approx_distinct(ds: "ray.data.Dataset", col: str, b: int = 12) -> float:
     """Distributed distinct estimate: one 4 KiB register set per batch,
-    merged by elementwise max in distributed tree-reduce rounds — no
-    shuffle, and the driver sees exactly one final register set."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        regs = hll_partial(batch[col], b)
-        return pa.table({"regs": pa.array([regs.tobytes()], type=pa.binary())})
-
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        merged = np.zeros(1 << b, dtype=np.uint8)
-        for bs in batch["regs"].to_pylist():
-            merged = np.maximum(merged, np.frombuffer(bs, dtype=np.uint8))
-        return pa.table({"regs": pa.array([merged.tobytes()], type=pa.binary())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    rows = _tree_reduce(parts, merge_batch)
-    merged = (
-        np.frombuffer(rows[0]["regs"], dtype=np.uint8)
-        if rows
-        else np.zeros(1 << b, dtype=np.uint8)
-    )
-    return hll_estimate(merged)
+    merged by elementwise max through `dispatch.fold` — no shuffle, and
+    the driver merges at most FOLD_FAN_IN register sets."""
+    regs = fold(ds, lambda batch: hll_partial(batch[col], b), np.maximum)
+    return hll_estimate(np.zeros(1 << b, dtype=np.uint8) if regs is None else regs)

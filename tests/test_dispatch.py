@@ -365,3 +365,93 @@ def test_fan_out_stress_runs_each_item_once(monkeypatch):
     assert not th.is_alive()
     assert box["out"] == [i * i for i in range(len(runs))]
     assert runs == [1] * len(runs)
+
+
+# ---------------------------------------------------------------------------
+# Distributed fold (rayenc.dispatch.fold)
+# ---------------------------------------------------------------------------
+
+
+def _driver_partials(monkeypatch) -> list:
+    """The partials the driver's own merge receives. Merge tasks run in
+    workers, which import an unpatched `rayenc.dispatch`."""
+    import pickle
+
+    from rayenc import dispatch
+
+    seen: list = []
+    real = dispatch._merge_tables
+
+    def spy(tables, merge):
+        seen.extend(pickle.loads(p) for t in tables for p in t["p"].to_pylist())
+        return real(tables, merge)
+
+    monkeypatch.setattr(dispatch, "_merge_tables", spy)
+    return seen
+
+
+def test_fold_of_nothing_is_none(ray_session):
+    """An empty dataset, and one whose every partial is None, fold to
+    None."""
+    import ray.data as rd
+
+    from rayenc.dispatch import fold
+
+    def add(a, b):
+        return a + b
+
+    empty = rd.from_arrow(pa.table({"x": pa.array([], pa.int64())}))
+    assert fold(empty, lambda b: 1, add) is None
+    sliced = rd.range(50, override_num_blocks=5).map_batches(
+        lambda b: b.slice(0, 0), batch_format="pyarrow")
+    assert fold(sliced, lambda b: 1, add) is None
+    assert fold(rd.range(100, override_num_blocks=10), lambda b: None, add) is None
+
+
+def test_fold_merges_in_tasks_and_at_most_fan_in_on_the_driver(ray_session, monkeypatch):
+    """300 batches: every batch's partial is merged exactly once, in exact
+    Python ints, and the driver merges at most FOLD_FAN_IN partials."""
+    import ray.data as rd
+
+    from rayenc.dispatch import FOLD_FAN_IN, fold
+
+    seen = _driver_partials(monkeypatch)
+    big = 1 << 62  # the sum leaves int64
+    ds = rd.from_arrow([pa.table({"x": pa.array([big + i] * 10, pa.int64())})
+                        for i in range(300)])
+    got = fold(ds, lambda b: (sum(b["x"].to_pylist()), 1),
+               lambda a, b: (a[0] + b[0], a[1] + b[1]))
+    assert got == (sum(10 * (big + i) for i in range(300)), 300)
+    assert 1 <= len(seen) <= FOLD_FAN_IN
+
+
+def test_grouped_agg_lowcard_driver_partials_are_o_keys(ray_session, monkeypatch):
+    """300 batches x 3 keys (one of them NULL) equal a whole-input pandas
+    groupby, and the driver merges at most FOLD_FAN_IN partial frames of
+    at most one row per key."""
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from rayenc.dispatch import FOLD_FAN_IN
+    from rayenc.stages.agg import grouped_agg_lowcard
+
+    rng = np.random.default_rng(0)
+    tables = []
+    for i in range(300):
+        v = rng.integers(0, 1000, 20).tolist()
+        if i % 7 == 0:
+            v[:5] = [None] * 5
+        tables.append(pa.table({"k": pa.array(rng.choice(np.array(["a", "b", None]), 20)),
+                                "v": pa.array(v, pa.int64())}))
+    seen = _driver_partials(monkeypatch)
+    out = grouped_agg_lowcard(
+        rd.from_arrow(tables), ["k"],
+        {"n": (None, "count"), "s": ("v", "sum"), "lo": ("v", "min"), "hi": ("v", "max")},
+    )
+    g = pa.concat_tables(tables).to_pandas().groupby("k", sort=True, dropna=False)
+    want = pd.DataFrame({"n": g.size(), "s": g["v"].sum(min_count=1),
+                         "lo": g["v"].min(), "hi": g["v"].max()}).reset_index()
+    pd.testing.assert_frame_equal(out, want, check_dtype=False)
+    assert 1 <= len(seen) <= FOLD_FAN_IN
+    assert all(isinstance(f, pd.DataFrame) and len(f) <= 3 for f in seen)
