@@ -1217,9 +1217,9 @@ def explain_decode(
 ) -> dict:
     """Prune-effectiveness report for a filtered decode, computed
     DISTRIBUTED over the block table (the driver merges at most
-    FOLD_FAN_IN partials): how many blocks survive zone+Bloom pruning, how many pages
-    (and rows) inside the survivors the page index would actually
-    decode, and the blob bytes each stage would ship. Run this before
+    FOLD_FAN_IN partials): how many blocks survive zone+Bloom pruning,
+    how many pages (and rows) inside the survivors the page index would
+    actually decode, and the blob bytes each stage would ship. Run this before
     pointing a selective decode at a 100 TB block table — a filter that
     prunes nothing is a full-table scan wearing a WHERE clause."""
     if not filter:

@@ -961,8 +961,8 @@ _KLL_META_CACHE: dict = {}
 
 def q_approx_quantiles_prices(sf_dir: str) -> pa.Table:
     """Distributed approximate quantiles (KLL sketch, partials merged
-    through dispatch.fold) over lineitem.l_extendedprice. Rows-only by design
-    (sketch output is approximate). The shipped query stays sketch-only
+    through dispatch.fold) over lineitem.l_extendedprice. Rows-only by
+    design (sketch output is approximate). The shipped query stays sketch-only
     (VERDICT r4 #3): rank error is cross-checked against a SEEDED
     ~64k-value sample (sampling slack widens the bound 1% -> 2%); the
     full-column exact-rank assertion lives in tests
